@@ -1,7 +1,7 @@
 """Tracked perf suite for the compile -> schedule -> verify pipeline.
 
 Measures the optimized hot paths against the seed (reference)
-implementations kept in :mod:`repro.pdg.reference` and writes one JSON
+implementations (``repro.reference.oracle_arm("seed")``) and writes one JSON
 scorecard, ``BENCH_pipeline.json``, that CI uploads on every push::
 
     PYTHONPATH=src python benchmarks/perf/run_pipeline_bench.py
@@ -23,7 +23,7 @@ Seven metrics, all on a fixed-seed generated corpus (fully reproducible):
   builds its own ``ControlFlowGraph``; interference re-solves
   liveness).  Gate: aggregate >= 3.0x.
 * ``compile``      -- end-to-end ``compile_c`` over a corpus sample, new
-  pipeline vs ``seed_pipeline()`` (reference DDG, per-query readiness,
+  pipeline vs ``oracle_arm("seed")`` (reference DDG, per-query readiness,
   uncached analyses, seed analysis implementations, the dict-state
   rescan block scheduler, eager verifier formatting).  Gate: >= 3.0x.
 * ``schedule``     -- ``global_schedule`` alone on the largest program's
@@ -62,10 +62,8 @@ from repro.ir.parser import parse_function
 from repro.ir.printer import format_function
 from repro.machine.configs import CONFIGS
 from repro.pdg.data_deps import build_region_ddg
-from repro.pdg.reference import (
-    build_region_ddg_reference,
-    seed_pipeline,
-)
+from repro.pdg.reference import build_region_ddg_reference
+from repro.reference import oracle_arm
 from repro.sched.candidates import ScheduleLevel
 from repro.sched.driver import global_schedule
 from repro.sched.regions import find_regions
@@ -278,7 +276,7 @@ def bench_compile(corpus, sample: int, repeats: int) -> dict:
                       level=ScheduleLevel.SPECULATIVE)
 
     new_s = _best_of(repeats, compile_all)
-    with seed_pipeline():
+    with oracle_arm("seed"):
         ref_s = _best_of(repeats, compile_all)
     return {
         "programs": len(sources),
@@ -314,7 +312,7 @@ def bench_schedule(func, repeats: int) -> dict:
         t0 = time.perf_counter()
         run()
         new_s = min(new_s, time.perf_counter() - t0)
-        with seed_pipeline():
+        with oracle_arm("seed"):
             t0 = time.perf_counter()
             run()
             ref_s = min(ref_s, time.perf_counter() - t0)
@@ -332,7 +330,7 @@ def bench_fuzz(n: int, jobs: int) -> dict:
     """Fuzz-campaign throughput: new pipeline at --jobs N vs seed serial."""
     # one tiny warm-up campaign per arm so imports/pools are paid up front
     fuzz(2, derive_seed(MASTER_SEED, 7001), shrink=False)
-    with seed_pipeline():
+    with oracle_arm("seed"):
         fuzz(2, derive_seed(MASTER_SEED, 7001), shrink=False)
 
     t0 = time.perf_counter()
@@ -340,7 +338,7 @@ def bench_fuzz(n: int, jobs: int) -> dict:
     new_s = time.perf_counter() - t0
 
     t0 = time.perf_counter()
-    with seed_pipeline():
+    with oracle_arm("seed"):
         report_ref = fuzz(n, MASTER_SEED, shrink=False)
     ref_s = time.perf_counter() - t0
 
@@ -496,7 +494,7 @@ def check_schedule_identity(program) -> dict:
                 return {u.name: u.assembly() for u in result}
 
             new_asm = compile_once()
-            with seed_pipeline():
+            with oracle_arm("seed"):
                 ref_asm = compile_once()
             compiles += 2
             if new_asm != ref_asm:

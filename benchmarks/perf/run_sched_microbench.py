@@ -10,12 +10,13 @@ programs whose block size scales geometrically, and writes
 
 Each size is one C function with a loop body split by a branch, so the
 region scheduler sees equivalent *and* speculative candidates; the two
-arms are the default struct-of-arrays engine (interned ints, CSR
-adjacency, packed priority keys, bitmask liveness) and the preserved
-seed inner loop (:func:`repro.sched.reference.reference_scheduler`: full
-candidate rescans per issue slot + per-motion liveness traversals).
-Both arms schedule freshly parsed copies of the same function and must
-agree on the printed schedule before their timings are reported.
+arms are the struct-of-arrays engine (interned ints, CSR adjacency,
+packed priority keys, bitmask liveness) and the seed inner loop
+(``repro.reference.oracle_arm("scheduler")``: full candidate rescans per
+issue slot on the per-query dependence state, plus per-motion liveness
+traversals).  Both arms schedule freshly parsed copies of the same
+function and must agree on the printed schedule before their timings are
+reported.
 
 The engine is timed through an accumulating wrapper around
 ``repro.sched.driver.schedule_region`` -- the exact seam the two engines
@@ -23,12 +24,9 @@ differ behind -- so the shared fixed costs (parsing, CFG analyses,
 region-DDG construction) no longer dilute the ratio the way whole-
 ``global_schedule`` timing did.
 
-The per-size speedups are **gated**: ``meta.engine`` records which
-engine the run measured, and when it is the SoA engine (the default),
-any size whose speedup falls below its floor in :data:`GATE_MIN_SPEEDUP`
-fails the run with exit status 1.  A run forced onto the scan engine
-(``REPRO_SCHED_ENGINE=scan`` -- CI's side-by-side control arm) times
-scan-vs-scan and is exempt.
+The per-size speedups are **gated**: any size whose speedup falls below
+its floor in :data:`GATE_MIN_SPEEDUP` fails the run with exit status 1
+(``--no-gate`` reports only).
 """
 
 from __future__ import annotations
@@ -49,9 +47,8 @@ from repro.compiler import compile_c
 from repro.ir.parser import parse_function
 from repro.ir.printer import format_function
 from repro.machine.configs import CONFIGS
-from repro.sched import global_sched
+from repro.reference import oracle_arm
 from repro.sched.candidates import ScheduleLevel
-from repro.sched.reference import reference_scheduler
 
 #: statements per straight-line chunk, one function per entry; the top
 #: size keeps the loop region just under ``regions.MAX_REGION_INSTRS``
@@ -59,17 +56,15 @@ from repro.sched.reference import reference_scheduler
 SIZES = (4, 8, 16, 24, 30)
 SIZES_QUICK = (4, 16, 30)
 
-#: CI regression floors per chunk size, SoA engine only.  Set well below
-#: the measured speedups (see README's performance table) so scheduler
-#: jitter on loaded runners does not flake the gate, but far above the
-#: pre-SoA event engine -- a silent fallback to object-graph storage or
-#: a packing regression trips them immediately.
-GATE_MIN_SPEEDUP = {4: 1.1, 8: 1.8, 16: 3.0, 24: 6.0, 30: 10.0}
-
-
-def engine_name() -> str:
-    """The engine ``schedule_region`` dispatches to by default."""
-    return "soa" if global_sched._ENGINE in ("soa", "event") else "scan"
+#: CI regression floors per chunk size.  Set well below the measured
+#: speedups (see README's performance table) so scheduler jitter on
+#: loaded runners does not flake the gate, but far above the pre-SoA
+#: event engine -- a fallback to object-graph storage or a packing
+#: regression trips them immediately.  Each floor is the earlier
+#: dict-state-baseline floor times the measured per-size ratio of the
+#: seed per-query state's baseline time to the dict state's (1.423, 1.628,
+#: 1.735, 1.775, 1.707), rounded up, so the gate is no looser than before.
+GATE_MIN_SPEEDUP = {4: 1.57, 8: 2.94, 16: 5.21, 24: 10.65, 30: 17.07}
 
 
 def make_source(k: int) -> str:
@@ -121,13 +116,10 @@ def region_timer():
         drv.schedule_region = real
 
 
-def _best_engine_of(repeats: int, fn) -> float:
-    best = float("inf")
-    for _ in range(repeats):
-        with region_timer() as acc:
-            fn()
-        best = min(best, acc["s"])
-    return best
+def _engine_time(fn) -> float:
+    with region_timer() as acc:
+        fn()
+    return acc["s"]
 
 
 def bench_size(k: int, repeats: int) -> dict:
@@ -145,14 +137,17 @@ def bench_size(k: int, repeats: int) -> dict:
     # both arms must produce the same schedule for the timing to mean
     # anything (the full equivalence proof lives in the test suite)
     soa_out = format_function(run())
-    with reference_scheduler():
+    with oracle_arm("scheduler"):
         scan_out = format_function(run())
     if soa_out != scan_out:
         raise SystemExit(f"engine divergence at size {k}")
 
-    soa_s = _best_engine_of(repeats, run)
-    with reference_scheduler():
-        scan_s = _best_engine_of(repeats, run)
+    # best-of-N per arm, interleaved so CPU drift hits both arms alike
+    soa_s = scan_s = float("inf")
+    for _ in range(repeats):
+        soa_s = min(soa_s, _engine_time(run))
+        with oracle_arm("scheduler"):
+            scan_s = min(scan_s, _engine_time(run))
     return {
         "chunk": k,
         "instrs": instrs,
@@ -163,7 +158,7 @@ def bench_size(k: int, repeats: int) -> dict:
 
 
 def gate(rows: list[dict]) -> list[str]:
-    """Regression messages for every row below its floor (SoA arm only)."""
+    """Regression messages for every row below its floor."""
     failures = []
     for row in rows:
         floor = GATE_MIN_SPEEDUP.get(row["chunk"])
@@ -186,7 +181,6 @@ def main(argv: list[str] | None = None) -> int:
                         help="report only, never fail on a floor miss")
     args = parser.parse_args(argv)
 
-    engine = engine_name()
     sizes = SIZES_QUICK if args.quick else SIZES
     repeats = 3 if args.quick else 5
     rows = []
@@ -194,16 +188,15 @@ def main(argv: list[str] | None = None) -> int:
         row = bench_size(k, repeats)
         rows.append(row)
         print(f"  chunk {row['chunk']:3d} ({row['instrs']:4d} instrs): "
-              f"scan {row['scan_ms']:8.2f} ms -> {engine} "
+              f"scan {row['scan_ms']:8.2f} ms -> soa "
               f"{row['soa_ms']:7.2f} ms ({row['speedup']:.2f}x)",
               flush=True)
 
-    gated = engine != "scan" and not args.no_gate
+    gated = not args.no_gate
     failures = gate(rows) if gated else []
     results = {
         "meta": {
             "suite": "sched_micro",
-            "engine": engine,
             "quick": args.quick,
             "gated": gated,
             "python": platform.python_version(),
@@ -216,7 +209,7 @@ def main(argv: list[str] | None = None) -> int:
     out.write_text(json.dumps(results, indent=2) + "\n")
     print(f"\nwrote {out}")
     if not gated:
-        print(f"gate skipped (engine={engine})")
+        print("gate skipped (--no-gate)")
     elif failures:
         for message in failures:
             print(f"GATE FAIL: {message}", file=sys.stderr)

@@ -9,8 +9,9 @@ a Figure-8-style matrix over *every* machine in the zoo: for each
 * runs on fixed per-program inputs (same seed across all machines and
   levels) and checks the return value against the workload's Python
   oracle;
-* recompiles on the preserved scan-driven scheduler engine and diffs the
-  emitted assembly byte-for-byte against the event-driven engine;
+* recompiles on the seed scan-driven block pass (``oracle_arm("scan")``)
+  and diffs the emitted assembly byte-for-byte against the production
+  engine;
 * cross-checks the simulated cycle count against the BSP DAG cost model
   (:mod:`repro.sim.bsp`): beating the lower bound or drifting beyond the
   documented tolerance fails the cell.
@@ -32,8 +33,8 @@ from dataclasses import dataclass, field
 
 from ..compiler import compile_c
 from ..machine.configs import CONFIGS, ZOO
+from ..reference import oracle_arm
 from ..sched.candidates import ScheduleLevel
-from ..sched.reference import scan_scheduler
 from ..sim.bsp import check_bsp
 from ..verify.verifier import ScheduleVerificationError
 from ..xform.pipeline import PipelineConfig
@@ -153,7 +154,7 @@ def _measure_cell(workload: Workload, machine_name: str,
         cell.failures.append(f"schedule rejected by verifier: {exc}")
         return cell
 
-    with scan_scheduler():
+    with oracle_arm("scan"):
         scan_unit = compile_c(workload.source, machine=machine, level=level,
                               config=config)
     event_asm, scan_asm = _assembly_map(unit), _assembly_map(scan_unit)

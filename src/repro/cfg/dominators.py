@@ -145,14 +145,9 @@ class DominatorTree:
         return out
 
 
-#: Implementation selected by the constructors below; the reference
-#: context managers patch this to the seed class.
-_IMPL = DominatorTree
-
-
 def dominator_tree(graph: Digraph, entry: Node) -> DominatorTree:
     """Dominator tree of ``graph`` rooted at ``entry``."""
-    return _IMPL(graph, entry)
+    return DominatorTree(graph, entry)
 
 
 def postdominator_tree(graph: Digraph, exit_node: Node) -> DominatorTree:
@@ -160,4 +155,4 @@ def postdominator_tree(graph: Digraph, exit_node: Node) -> DominatorTree:
 
     ``tree.dominates(b, a)`` then answers "``b`` postdominates ``a``".
     """
-    return _IMPL(graph.reversed(), exit_node)
+    return DominatorTree(graph.reversed(), exit_node)

@@ -91,14 +91,10 @@ def is_reducible(graph: Digraph, dom: DominatorTree) -> bool:
     Equivalent to the seed's copy-the-graph-and-toposort
     (:func:`repro.cfg.reference.is_reducible_reference`): drop every back
     edge, then look for a retreating edge w.r.t. a DFS reverse postorder
-    from the root -- one exists iff a cycle survived.  Runs on int
-    successor rows; only dense dominator trees carry the arrays, so a
-    reference tree (from the oracle context managers) takes the seed path.
+    from the root -- one exists iff a cycle survived.  Runs on the dense
+    dominator tree's int rows.
     """
-    idom = getattr(dom, "_idom_arr", None)
-    if idom is None:
-        from .reference import is_reducible_reference
-        return is_reducible_reference(graph, dom)
+    idom = dom._idom_arr
     index = dom._index
     depth = dom._depth_arr
     rpo = dom._rpo

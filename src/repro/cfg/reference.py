@@ -8,14 +8,11 @@ property suite (``tests/dataflow/test_dense_equivalence.py``) and as the
 measured baseline of the ``analysis`` section of
 ``benchmarks/perf/run_pipeline_bench.py``.
 
-:func:`reference_cfg_analyses` patches the dense implementations out for the
-duration of a ``with`` block, following the context-manager pattern of
-:mod:`repro.pdg.reference`.
+:func:`repro.reference.oracle_arm` patches them in behind the compiler.
 """
 
 from __future__ import annotations
 
-from contextlib import contextmanager
 from typing import Hashable
 
 from .digraph import Digraph
@@ -112,6 +109,12 @@ class DominatorTreeReference:
         return out
 
 
+def postdominator_tree_reference(graph: Digraph,
+                                 exit_node: Node) -> DominatorTreeReference:
+    """Seed postdominator tree: dominators of the reversed graph."""
+    return DominatorTreeReference(graph.reversed(), exit_node)
+
+
 def is_reducible_reference(graph: Digraph, dom) -> bool:
     """Seed reducibility test: copy the graph minus back edges, toposort."""
     backs = set(back_edges(graph, dom))
@@ -196,37 +199,3 @@ class LoopNestReference:
 
     def __repr__(self) -> str:
         return f"<LoopNestReference {len(self.loops)} loops>"
-
-
-def _cfg_reference_patches() -> list[tuple]:
-    """(module, attribute, reference value) triples restoring the seed
-    CFG analyses; shared by :func:`reference_cfg_analyses` and the full
-    :func:`repro.pdg.reference.seed_pipeline`."""
-    from ..dataflow import cache as dataflow_cache
-    from ..sched import regions as sched_regions
-    from ..xform import ctr as xform_ctr
-    from ..xform import strength as xform_strength
-    from . import dominators as dominators_mod
-
-    return [
-        (dominators_mod, "_IMPL", DominatorTreeReference),
-        (dataflow_cache, "LoopNest", LoopNestReference),
-        (sched_regions, "LoopNest", LoopNestReference),
-        (sched_regions, "is_reducible", is_reducible_reference),
-        (xform_strength, "LoopNest", LoopNestReference),
-        (xform_ctr, "LoopNest", LoopNestReference),
-    ]
-
-
-@contextmanager
-def reference_cfg_analyses():
-    """Run with the seed dominator/loop/reducibility implementations."""
-    patches = _cfg_reference_patches()
-    saved = [(mod, name, getattr(mod, name)) for mod, name, _ in patches]
-    for mod, name, value in patches:
-        setattr(mod, name, value)
-    try:
-        yield
-    finally:
-        for mod, name, value in saved:
-            setattr(mod, name, value)

@@ -7,10 +7,10 @@ frozenset implementations verbatim:
 
 * :class:`LivenessInfoReference` / :func:`compute_liveness_reference`;
 * :class:`ReachingDefinitionsReference`;
-* :func:`reference_analyses` -- a context manager running the *whole*
-  compiler with the dense analysis core switched off (CFG layer included,
-  plus the dense basic-block scheduler), for the equivalence suite and
-  the measured baseline arm of ``benchmarks/perf``.
+* :class:`UncachedAnalyses` -- an analysis cache that recomputes on every
+  query, as the seed pipeline did at each use site.
+
+:func:`repro.reference.oracle_arm` patches them in behind the compiler.
 
 The seed's generic set-based worklist solver never left
 :mod:`repro.dataflow.engine` (it remains the public generic API next to
@@ -21,13 +21,12 @@ so dense and reference results compare equal.
 
 from __future__ import annotations
 
-from contextlib import contextmanager
-
 from ..cfg.graph import EXIT, ControlFlowGraph
 from ..ir.basic_block import BasicBlock
 from ..ir.function import Function
 from ..ir.instruction import Instruction
 from ..ir.operand import Reg
+from .cache import AnalysisCache
 from .engine import solve_backward, solve_forward
 from .reaching import Definition
 
@@ -169,45 +168,38 @@ class ReachingDefinitionsReference:
         return frozenset(d for defs in live.values() for d in defs)
 
 
-def _analysis_reference_patches() -> list[tuple]:
-    """Every (module, attribute, reference value) needed to run the
-    compiler with the dense analysis core switched off.  Shared by
-    :func:`reference_analyses` and
-    :func:`repro.pdg.reference.seed_pipeline` (the perf baseline arm)."""
-    from ..cfg.reference import _cfg_reference_patches
-    from ..regalloc import allocator as regalloc_allocator
-    from ..regalloc.reference import build_interference_reference
-    from ..sched import bb_sched
-    from ..sched.reference import schedule_block_reference
-    from ..verify import verifier as sched_verifier
-    from ..xform import rename as xform_rename
-    from . import cache as dataflow_cache
+class UncachedAnalyses(AnalysisCache):
+    """An :class:`repro.dataflow.cache.AnalysisCache` that recomputes every
+    analysis on every call (the seed pipeline rebuilt the CFG, dominators,
+    loop nest and liveness at each use site)."""
 
-    return [
-        *_cfg_reference_patches(),
-        (dataflow_cache, "compute_liveness", compute_liveness_reference),
-        (xform_rename, "compute_liveness", compute_liveness_reference),
-        (sched_verifier, "compute_liveness", compute_liveness_reference),
-        (regalloc_allocator, "build_interference",
-         build_interference_reference),
-        (bb_sched, "schedule_block", schedule_block_reference),
-    ]
+    def cfg(self):
+        self._cfg = None
+        return super().cfg()
 
+    def dominators(self):
+        self._cfg = None
+        self._dom = None
+        return super().dominators()
 
-@contextmanager
-def reference_analyses():
-    """Run with every seed analysis implementation restored: dict-based
-    dominators/loops/reducibility, frozenset liveness, set-adjacency
-    interference, and the dict-state basic-block scheduler.  The dense
-    core and this arm must agree bit-for-bit on every analysis result and
-    byte-for-byte on emitted assembly
-    (``tests/dataflow/test_dense_equivalence.py``)."""
-    patches = _analysis_reference_patches()
-    saved = [(mod, name, getattr(mod, name)) for mod, name, _ in patches]
-    for mod, name, value in patches:
-        setattr(mod, name, value)
-    try:
-        yield
-    finally:
-        for mod, name, value in saved:
-            setattr(mod, name, value)
+    def loop_nest(self):
+        self._cfg = None
+        self._dom = None
+        self._nest = None
+        return super().loop_nest()
+
+    def liveness(self, live_at_exit):
+        self._cfg = None
+        self._liveness.clear()
+        self._dense = None
+        self._use_def = None
+        return super().liveness(live_at_exit)
+
+    def dense_cfg(self):
+        self._cfg = None
+        self._dense = None
+        return super().dense_cfg()
+
+    def block_use_def_masks(self):
+        self._use_def = None
+        return super().block_use_def_masks()

@@ -89,8 +89,8 @@ class DataDependenceGraph:
     were measurable); a caller that mutates the graph while iterating must
     snapshot first (``list(ddg.succs(ins))``).  Every mutation bumps
     :attr:`version`, which incremental consumers (the scheduler's
-    :class:`~repro.sched.ready.DependenceState`) use to invalidate their
-    derived state.
+    :class:`~repro.sched.soa.DenseDependenceState`) use to invalidate
+    their derived state.
     """
 
     def __init__(self) -> None:

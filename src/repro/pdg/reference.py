@@ -14,19 +14,21 @@ the same edge set (same endpoints, kinds and delays) and remove exactly the
 same edges.  These copies exist so that equivalence stays *testable*
 (``tests/pdg/test_reference_equivalence.py``) and the speedup stays
 *measurable* (``benchmarks/perf/``); they are not used by the compiler
-pipeline itself.
+pipeline itself.  :func:`repro.reference.oracle_arm` patches them in.
+
+The module also keeps the seed scheduler's per-query
+:class:`DependenceStateReference` and the seed IR verifier
+(:func:`verify_function_reference`).
 """
 
 from __future__ import annotations
 
 import heapq
-from contextlib import contextmanager
 
 from ..ir.basic_block import BasicBlock
 from ..ir.instruction import Instruction
 from ..ir.operand import Reg
 from ..machine.model import MachineModel
-from . import data_deps
 from .data_deps import DataDependenceGraph, DepEdge, DepKind, _edge_weight
 from .memory import AddressTracker, SymbolicAddress, may_conflict
 
@@ -208,36 +210,16 @@ def transitive_reduce_reference(ddg: DataDependenceGraph,
     return removed
 
 
-@contextmanager
-def reference_pipeline():
-    """Run the whole compiler with the reference DDG construction.
-
-    Swaps :func:`repro.pdg.data_deps.build_region_ddg` and
-    :func:`~repro.pdg.data_deps.transitive_reduce` for their reference
-    twins for the duration of the ``with`` block.  The perf suite uses this
-    to measure end-to-end (compile / fuzz) throughput against the seed
-    behaviour without keeping two pipelines alive.
-    """
-    saved = (data_deps.build_region_ddg, data_deps.transitive_reduce)
-    # pdg.pdg binds build_region_ddg at import time; patch it there too.
-    from . import pdg as region_pdg_module
-
-    saved_pdg = region_pdg_module.build_region_ddg
-    data_deps.build_region_ddg = build_region_ddg_reference
-    data_deps.transitive_reduce = transitive_reduce_reference
-    region_pdg_module.build_region_ddg = build_region_ddg_reference
-    try:
-        yield
-    finally:
-        data_deps.build_region_ddg, data_deps.transitive_reduce = saved
-        region_pdg_module.build_region_ddg = saved_pdg
-
-
 class DependenceStateReference:
-    """The seed :class:`repro.sched.ready.DependenceState`: readiness and
-    earliest start re-derived from the predecessor edges on every query."""
+    """The seed dependence state: readiness and earliest start re-derived
+    from the predecessor edges on every query.  It takes the place of
+    :class:`repro.sched.soa.DenseDependenceState` under the scan arm, so
+    it accepts (and ignores) the same ``metrics`` argument."""
 
-    def __init__(self, ddg, machine):
+    #: nothing is cached, so a DDG mutation never invalidates anything
+    invalidations = 0
+
+    def __init__(self, ddg, machine, metrics=None):
         self.ddg = ddg
         self.machine = machine
         self._fulfilled: set[int] = set()
@@ -351,103 +333,3 @@ def verify_function_reference(func) -> None:
             if ins.target is not None and not ins.is_call:
                 _check(ins.target in labels,
                        f"{where}: branch target {ins.target!r} does not exist")
-
-
-def _make_uncached_analyses():
-    """An :class:`repro.dataflow.cache.AnalysisCache` stand-in that
-    recomputes every analysis on every call (the seed pipeline rebuilt the
-    CFG, dominators, loop nest and liveness at each use site)."""
-    from ..dataflow.cache import AnalysisCache
-
-    class UncachedAnalyses(AnalysisCache):
-        def cfg(self):
-            self._cfg = None
-            return super().cfg()
-
-        def dominators(self):
-            self._cfg = None
-            self._dom = None
-            return super().dominators()
-
-        def loop_nest(self):
-            self._cfg = None
-            self._dom = None
-            self._nest = None
-            return super().loop_nest()
-
-        def liveness(self, live_at_exit):
-            self._cfg = None
-            self._liveness.clear()
-            self._dense = None
-            self._use_def = None
-            return super().liveness(live_at_exit)
-
-        def dense_cfg(self):
-            self._cfg = None
-            self._dense = None
-            return super().dense_cfg()
-
-        def block_use_def_masks(self):
-            self._use_def = None
-            return super().block_use_def_masks()
-
-    return UncachedAnalyses
-
-
-@contextmanager
-def seed_pipeline():
-    """Run the compiler with *every* reference (seed) hot path restored.
-
-    On top of :func:`reference_pipeline` (per-pair interblock scans,
-    heap-based reduction) this swaps in:
-
-    * :class:`DependenceStateReference` -- per-query readiness rescans;
-    * :func:`verify_function_reference` -- eager error-message formatting
-      in the post-pass IR verifier (``xform.pipeline`` call sites);
-    * an uncached analysis bundle -- CFG/dominators/loop-nest/liveness
-      rebuilt at every use site;
-    * the seed analysis implementations themselves
-      (:func:`repro.dataflow.reference._analysis_reference_patches`):
-      dict-based dominators/loops/reducibility, frozenset liveness,
-      set-adjacency interference, and the dict-state rescan basic-block
-      scheduler.
-
-    This is the fuzz-throughput baseline of ``benchmarks/perf``.  The
-    reference DDG builder itself also restores the seed's copy-returning
-    ``succs()``/``preds()`` (:class:`_CopyingDDG`) and per-loop-iteration
-    ``reg_uses()``/``reg_defs()`` scan.  A few seed costs are *not*
-    restorable from here and stay optimized in both arms (so measured
-    speedups understate the full gain): the cached ``Reg.__hash__`` and
-    the flattened ``Opcode`` flag attributes.
-    """
-    from ..dataflow.reference import _analysis_reference_patches
-    from ..ir import verify as ir_verify
-    from ..lang import lower as lang_lower
-    from ..sched import bb_sched, driver, global_sched
-    from ..sched.reference import LiveOnExitTrackerReference
-    from ..verify import verifier as sched_verifier
-    from ..xform import pipeline as xform_pipeline
-
-    uncached = _make_uncached_analyses()
-    patches = [
-        *_analysis_reference_patches(),
-        (global_sched, "_ENGINE", "scan"),
-        (global_sched, "DependenceState", DependenceStateReference),
-        (bb_sched, "DependenceState", DependenceStateReference),
-        (driver, "LiveOnExitTracker", LiveOnExitTrackerReference),
-        (xform_pipeline, "verify_function", verify_function_reference),
-        (ir_verify, "verify_function", verify_function_reference),
-        (sched_verifier, "verify_function", verify_function_reference),
-        (lang_lower, "verify_function", verify_function_reference),
-        (xform_pipeline, "AnalysisCache", uncached),
-        (driver, "AnalysisCache", uncached),
-    ]
-    saved = [(mod, name, getattr(mod, name)) for mod, name, _ in patches]
-    with reference_pipeline():
-        for mod, name, value in patches:
-            setattr(mod, name, value)
-        try:
-            yield
-        finally:
-            for mod, name, value in saved:
-                setattr(mod, name, value)

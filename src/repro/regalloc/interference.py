@@ -155,10 +155,6 @@ def build_interference(
         else:
             liveness = compute_liveness(func, live_at_exit,
                                         ControlFlowGraph(func))
-    if not hasattr(liveness, "live_out_mask"):
-        # a reference LivenessInfo (oracle arms): no masks to row over
-        from .reference import build_interference_reference
-        return build_interference_reference(func, liveness=liveness)
 
     table = liveness.table
     bit = table.bit

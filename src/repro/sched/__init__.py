@@ -4,9 +4,8 @@ from .bb_sched import schedule_block, schedule_function_blocks
 from .candidates import Candidate, ScheduleLevel, candidate_blocks, collect_candidates
 from .driver import GlobalScheduleReport, default_live_at_exit, global_schedule
 from .global_sched import Motion, RegionScheduleReport, schedule_region
-from .heuristics import StaticBlockPriority, local_priorities, priority_key
+from .heuristics import local_priorities, priority_key
 from .profiling import BranchProfile, make_profile_priority_fn, select_main_trace
-from .ready import DependenceState
 from .soa import DenseDependenceState, DenseReadyQueue, pack_rows
 from .regions import (
     MAX_REGION_BLOCKS,
@@ -23,8 +22,6 @@ __all__ = [
     "make_profile_priority_fn",
     "DenseDependenceState",
     "DenseReadyQueue",
-    "DependenceState",
-    "StaticBlockPriority",
     "pack_rows",
     "GlobalScheduleReport",
     "LiveOnExitTracker",

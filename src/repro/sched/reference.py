@@ -1,31 +1,30 @@
 """Reference (seed) implementations for the scheduling layer.
 
 Companion to :mod:`repro.pdg.reference`, same contract: the code here is
-the *behavioural baseline* for the event-driven scheduler inner loop, kept
-byte-for-byte equivalent in observable output (schedules, motions, traces)
-and deliberately scan-driven in cost.
+the *behavioural baseline* for the production scheduler, kept
+byte-for-byte equivalent in observable output (schedules, motions,
+traces) and deliberately scan-driven in cost.  Nothing in the compiler
+calls it; :func:`repro.reference.oracle_arm` patches it in.
 
 * :func:`schedule_block_scan` -- the original Section 5.1 block pass: every
   inner iteration of every cycle rescans **all** pending candidates
   (readiness, earliest start, live-on-exit veto) and re-sorts the ready
-  list.  ``schedule_region`` dispatches here when a custom ``priority_fn``
-  is in play (ablation benches produce dynamic keys the event queue cannot
-  precompute) or when the scan engine is forced via
-  ``REPRO_SCHED_ENGINE=scan`` / :func:`scan_scheduler`.
+  list.  It runs on the seed
+  :class:`~repro.pdg.reference.DependenceStateReference`.
 
 * :class:`LiveOnExitTrackerReference` -- the seed liveness tracker whose
   ``record_motion`` runs two full ``reachable_from`` traversals per motion
   (the optimized tracker intersects precomputed reachability bitsets).
 
-``pdg.reference.seed_pipeline()`` patches both in (plus
-``DependenceStateReference``) so the perf suite measures the full seed
-inner loop; ``tests/sched/test_event_scan_equivalence.py`` proves the two
-engines produce identical assembly, motions and decision traces.
+* :func:`schedule_block_reference` -- the seed basic-block list
+  scheduler.
+
+``tests/sched/test_event_scan_equivalence.py`` proves the scan pass and
+the struct-of-arrays engine produce identical assembly, motions and
+decision traces.
 """
 
 from __future__ import annotations
-
-from contextlib import contextmanager
 
 from ..ir.instruction import Instruction
 from ..ir.opcodes import UnitType
@@ -39,44 +38,7 @@ from .candidates import (
     collect_candidates,
     collect_duplication_candidates,
 )
-from .ready import DependenceState
 from .speculation import LiveOnExitTracker, try_rename_for_motion
-
-
-@contextmanager
-def scan_scheduler():
-    """Force the preserved scan-driven block pass for the dynamic extent.
-
-    The equivalence suite and the CI fuzz-smoke reference arm use this to
-    run the whole pipeline on the seed inner loop without touching the
-    environment.
-    """
-    from . import global_sched
-
-    saved = global_sched._ENGINE
-    global_sched._ENGINE = "scan"
-    try:
-        yield
-    finally:
-        global_sched._ENGINE = saved
-
-
-@contextmanager
-def reference_scheduler():
-    """The full seed scheduler arm: scan-driven block pass *and* the
-    traversal-based liveness tracker, for the dynamic extent.  This is
-    the scheduler slice of ``pdg.reference.seed_pipeline()`` -- the
-    microbench and equivalence tests use it when they want the seed
-    inner loop without the reference DDG / uncached-analyses patches."""
-    from . import driver
-
-    with scan_scheduler():
-        saved = driver.LiveOnExitTracker
-        driver.LiveOnExitTracker = LiveOnExitTrackerReference
-        try:
-            yield
-        finally:
-            driver.LiveOnExitTracker = saved
 
 
 class LiveOnExitTrackerReference(LiveOnExitTracker):
@@ -118,7 +80,7 @@ def schedule_block_scan(
     label: str,
     level,
     live_tracker: LiveOnExitTracker,
-    state: DependenceState,
+    state,
     priorities: dict[int, tuple[int, int]],
     max_speculation: int,
     rename_on_demand: bool,
@@ -300,7 +262,7 @@ def schedule_block_scan(
 
 def _ready_candidates(
     pending: dict[int, Candidate],
-    state: DependenceState,
+    state,
     cycle: int,
     terminator: Instruction | None,
     own_remaining: set[int],
@@ -378,11 +340,9 @@ def schedule_block_reference(block, machine) -> int:
     pass on the dense substrate (CSR DDG, packed int keys, incremental
     readiness); this copy is the equivalence oracle and the measured
     baseline of the ``analysis``/``compile`` perf sections.
-
-    ``DependenceState`` is resolved through the :mod:`~repro.sched.bb_sched`
-    module at call time, so ``seed_pipeline()``'s state patch composes.
     """
     from ..pdg.data_deps import build_block_ddg
+    from ..pdg.reference import DependenceStateReference
     from . import bb_sched
     from .heuristics import local_priorities
 
@@ -393,7 +353,7 @@ def schedule_block_reference(block, machine) -> int:
 
     ddg = build_block_ddg(block, machine)
     priorities = local_priorities(block, ddg, machine)
-    state = bb_sched.DependenceState(ddg, machine)
+    state = DependenceStateReference(ddg, machine)
     state.begin_block()
     position = {id(ins): i for i, ins in enumerate(block.instrs)}
 

@@ -1,10 +1,9 @@
 """Struct-of-arrays storage for the scheduler hot core.
 
-The event-driven engine of :mod:`repro.sched.global_sched` used to run on
-identity-keyed dicts of mutable entry objects; every heap operation,
-dependence-counter update and readiness query paid Python object overhead
-per instruction.  This module lowers one region onto dense interned
-storage instead:
+The event-driven engine of :mod:`repro.sched.global_sched` runs each
+region on dense interned storage, so heap operations, dependence-counter
+updates and readiness queries touch machine ints rather than per-
+instruction Python objects:
 
 * :class:`repro.pdg.data_deps.DenseDDG` (built via
   ``DataDependenceGraph.to_dense``) interns instructions to dense indices
@@ -21,16 +20,16 @@ storage instead:
   collection sequence number, heap items are ``(packed_key, seq, epoch)``
   int triples, and the evaluation queue is a heap of plain ints.
 
-Equivalence contract: the scan engine
-(:func:`repro.sched.reference.schedule_block_scan`) remains the oracle.
+Equivalence contract: the seed scan pass
+(:func:`repro.sched.reference.schedule_block_scan`) is the oracle.
 At every scan point the heap residents equal the seed scheduler's ready
 list, selection order equals its sorted order (packing is strictly
 monotone, and ``seq`` reproduces the seed's stable-sort tie-break), and
 veto/rename judgments happen for exactly the candidates the seed scan
 would have re-judged to a different answer, in the seed's iteration
-order.  ``tests/sched/test_event_scan_equivalence.py`` and the fuzz
-``seed_pipeline()`` arm hold assembly, motions and decision traces
-byte-identical across machines x levels.
+order.  ``tests/sched/test_event_scan_equivalence.py`` and the
+``oracle_arm("seed")`` equivalence tests hold assembly, motions and
+decision traces byte-identical across machines x levels.
 
 Graph mutations (Section 4.2 renames, Definition 6 duplication) bump
 ``DataDependenceGraph.version``; the dense snapshot is rebuilt lazily and
@@ -50,8 +49,8 @@ from ..machine.model import MachineModel
 from ..obs.metrics import NULL_METRICS
 from ..pdg.data_deps import DataDependenceGraph
 
-#: entry lifecycle states (shared with the retired object-based queue's
-#: numbering; module-level ints keep attribute loads off the hot path)
+#: entry lifecycle states (module-level ints keep attribute loads off the
+#: hot path)
 _WAITING = 0   #: some dependence predecessor is still unfulfilled
 _TIMED = 1     #: dependences satisfied, earliest start is in the future (wheel)
 _PENDING = 2   #: issuable once judged -- sitting in an evaluation queue
@@ -67,6 +66,11 @@ _NEVER = -(1 << 30)
 _UNIT_INDEX = {unit: idx for idx, unit in enumerate(UnitType)}
 
 
+#: what every priority key must be for :func:`pack_rows` to order it
+_KEY_CONTRACT = ("priority keys must be equal-length tuples of ints, "
+                 "static for the duration of a block pass")
+
+
 def pack_rows(rows: list[tuple]) -> list[int]:
     """Pack equal-length all-int tuples into ints, preserving order.
 
@@ -76,51 +80,61 @@ def pack_rows(rows: list[tuple]) -> list[int]:
     pack(a) == pack(b)``.  Constant columns contribute zero bits.  The
     ready heaps compare these ints instead of the tuples; the tuples are
     only rebuilt for decision tracing.
+
+    Rows of different lengths, or fields that are not ints, raise
+    ``TypeError``: either would silently break the order guarantee.
     """
     if not rows:
         return []
-    # column extrema via C-speed min/max; shift-accumulate per row with
-    # constant (zero-bit) columns dropped from the inner loop entirely
-    cols = tuple(zip(*rows))
-    plan = []
-    for f, col in enumerate(cols):
-        low = min(col)
-        bits = (max(col) - low).bit_length()
-        if bits:
-            plan.append((f, bits, low))
-    if not plan:
-        return [0] * len(rows)
-    packed = []
-    for row in rows:
-        acc = 0
-        for f, bits, low in plan:
-            acc = (acc << bits) | (row[f] - low)
-        packed.append(acc)
+    widths = set(map(len, rows))
+    if len(widths) != 1:
+        raise TypeError(f"{_KEY_CONTRACT}; got rows of lengths "
+                        f"{sorted(widths)}")
+    try:
+        # column extrema via C-speed min/max; shift-accumulate per row
+        # with constant (zero-bit) columns dropped from the inner loop
+        plan = []
+        for f, col in enumerate(zip(*rows)):
+            low = min(col)
+            bits = (max(col) - low).bit_length()
+            if bits:
+                plan.append((f, bits, low))
+        if not plan:
+            return [0] * len(rows)
+        packed = []
+        for row in rows:
+            acc = 0
+            for f, bits, low in plan:
+                acc = (acc << bits) | (row[f] - low)
+            packed.append(acc)
+    except (TypeError, AttributeError) as exc:
+        # a float has no bit_length; mixed columns fail the shift or the
+        # subtraction
+        raise TypeError(f"{_KEY_CONTRACT}; {exc}") from None
     return packed
 
 
 class DenseDependenceState:
     """Fulfilment and earliest-start tracking on flat arrays.
 
-    Drop-in behavioural twin of :class:`repro.sched.ready.DependenceState`
-    (which the scan oracle keeps using), but every per-instruction fact is
-    an array slot indexed by the region's dense interning:
+    Behavioural twin of the seed's per-query state
+    (:class:`repro.pdg.reference.DependenceStateReference`, which the scan
+    oracle runs on), but every per-instruction fact is an array slot
+    indexed by the region's dense interning:
 
     * ``_fulfilled``: bytearray flag per instruction;
     * ``_blocked``: ``array('i')`` of unfulfilled-predecessor counts,
       recomputed eagerly from the CSR predecessor lists on snapshot
-      (re)binding -- equivalent to the lazy dict because decrements apply
-      from state creation onward either way;
+      (re)binding and decremented on each fulfilment;
     * ``_earliest``: ``array('i')`` earliest start within the current
-      pass, folded incrementally on issue exactly like the dict version;
+      pass, folded incrementally on issue;
     * ``_local`` / ``_carry``: issue cycles (current pass / shifted
       previous pass) with the :data:`_NEVER` sentinel.
 
     A DDG version bump triggers a rebind: the dense snapshot is refreshed
     (indices are stable, new instructions append), surviving per-index
     facts are extended, and the derived counters are recomputed from the
-    current fulfilment -- the array analogue of the dict state dropping
-    its lazy caches.
+    current fulfilment.
     """
 
     def __init__(self, ddg: DataDependenceGraph, machine: MachineModel,
@@ -147,9 +161,8 @@ class DenseDependenceState:
     def set_listener(self, listener) -> None:
         """Subscribe ``listener(idx)`` to blocked-count zero crossings
         (``idx`` is the instruction's dense index).  After a version bump
-        the counters are recomputed, so -- like the dict state after its
-        caches clear -- the subscriber must requalify via the rebuild
-        protocol :class:`DenseReadyQueue` follows."""
+        the counters are recomputed, so the subscriber must requalify via
+        the rebuild protocol :class:`DenseReadyQueue` follows."""
         self._listener = listener
 
     # -- snapshot lifecycle --------------------------------------------------
@@ -226,11 +239,21 @@ class DenseDependenceState:
     # -- pass lifecycle ------------------------------------------------------
 
     def begin_block(self, *, carry_cycles: int | None = None) -> None:
-        """Start a new block pass (semantics of
-        :meth:`repro.sched.ready.DependenceState.begin_block`): the
-        previous pass's issue cycles either stop constraining timing or
-        carry over shifted by ``carry_cycles``, and earliest starts are
-        recomputed under the new pass's clock.
+        """Start a new block pass: the previous pass's issue cycles either
+        stop constraining timing or carry over shifted by
+        ``carry_cycles``, and earliest starts are recomputed under the new
+        pass's clock.
+
+        With ``carry_cycles`` (the schedule length of the pass that just
+        ended, when that block is a control-flow predecessor of the new
+        one), an instruction issued at local cycle ``c`` appears to the
+        new pass as issued at ``c - carry_cycles``.  This makes delays
+        that straddle the block boundary visible -- e.g. a compare at the
+        end of the predecessor holds this block's branch back for the
+        remaining delay cycles, which is exactly the window the
+        rotated-loop second pass fills with next-iteration instructions
+        (the paper's partial software pipelining).  Older passes stop
+        constraining timing entirely.
 
         Only the instructions issued last pass (and the carries of the
         pass before) are touched -- O(issued + their successors) plus one
@@ -319,8 +342,8 @@ class DenseDependenceState:
             j = succ_idx[k]
             # fold the timing bound *before* any zero-crossing can fire
             # the listener: the queue classifies the successor against
-            # earliest_start_idx the moment it unblocks, and the lazy
-            # dict-based oracle always sees this issue's contribution
+            # earliest_start_idx the moment it unblocks, and the per-query
+            # oracle always sees this issue's contribution
             bound = cycle + succ_w[k]
             if bound > earliest[j]:
                 earliest[j] = bound
@@ -631,8 +654,8 @@ class DenseReadyQueue:
         state = self._state
         i = self.seq_idx[seq]
         if i < 0:
-            # not in the DDG (like the dict state, absent means
-            # dependence-free): judgeable immediately
+            # not in the DDG (absent means dependence-free): judgeable
+            # immediately
             self.status[seq] = _PENDING
             self._enqueue_eval(seq, now=False)
             return

@@ -177,6 +177,7 @@ def _program_metrics(index: int, program: GenProgram) -> dict:
         "spec_rejected": metrics.counters.get(
             "sched.speculation.rejected_live", 0),
         "spec_renamed": metrics.counters.get("sched.speculation.renamed", 0),
+        "packed_keys": metrics.counters.get("sched.soa.packed_keys", 0),
         "ready_mean": round(ready_total / ready_count, 3) if ready_count
                       else 0.0,
         "ready_max": ready_max,

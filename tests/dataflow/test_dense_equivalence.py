@@ -10,7 +10,7 @@ agree *exactly* with the preserved seed implementations
 graphs and unreachable nodes included), on lowered mini-C functions, on
 hand-written irreducible/unreachable IR, and byte-for-byte on emitted
 assembly across machines x scheduling levels with the whole core
-switched off via :func:`repro.dataflow.reference.reference_analyses`.
+switched off via ``repro.reference.oracle_arm("analyses")``.
 """
 
 from __future__ import annotations
@@ -34,11 +34,11 @@ from repro.dataflow.reaching import ReachingDefinitions
 from repro.dataflow.reference import (
     ReachingDefinitionsReference,
     compute_liveness_reference,
-    reference_analyses,
 )
 from repro.ir.parser import parse_function
 from repro.lang.lower import compile_c_functions
 from repro.machine.configs import CONFIGS
+from repro.reference import oracle_arm
 from repro.regalloc.interference import build_interference
 from repro.regalloc.reference import build_interference_reference
 from repro.sched.candidates import ScheduleLevel
@@ -258,7 +258,7 @@ def _assembly(source, level, machine):
 
 def assert_assembly_identical(source, level, machine):
     dense_arm = _assembly(source, level, machine)
-    with reference_analyses():
+    with oracle_arm("analyses"):
         reference_arm = _assembly(source, level, machine)
     assert dense_arm == reference_arm, (level, machine)
 

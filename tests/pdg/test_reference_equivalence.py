@@ -23,10 +23,9 @@ from repro.pdg import pdg as region_pdg_module
 from repro.pdg.data_deps import build_region_ddg, transitive_reduce
 from repro.pdg.reference import (
     build_region_ddg_reference,
-    reference_pipeline,
-    seed_pipeline,
     transitive_reduce_reference,
 )
+from repro.reference import oracle_arm
 from repro.sched.candidates import ScheduleLevel
 from repro.sched.regions import build_region_pdg, find_regions
 from repro.verify.fuzz import derive_seed
@@ -120,7 +119,7 @@ def test_optimized_pipeline_matches_reference_assembly(corpus):
     for program in corpus:
         for level in ScheduleLevel:
             new = _compile_all(program.source, "rs6k", level)
-            with reference_pipeline():
+            with oracle_arm("ddg"):
                 ref = _compile_all(program.source, "rs6k", level)
             assert new == ref, (
                 f"seed {program.seed} diverged at level {level.value}")
@@ -133,7 +132,7 @@ def test_optimized_pipeline_matches_seed_pipeline(corpus):
         for machine_name in ("rs6k", "scalar"):
             new = _compile_all(program.source, machine_name,
                                ScheduleLevel.SPECULATIVE)
-            with seed_pipeline():
+            with oracle_arm("seed"):
                 ref = _compile_all(program.source, machine_name,
                                    ScheduleLevel.SPECULATIVE)
             assert new == ref
@@ -142,7 +141,7 @@ def test_optimized_pipeline_matches_seed_pipeline(corpus):
 def test_patching_restores_cleanly():
     saved = (data_deps.build_region_ddg, data_deps.transitive_reduce,
              region_pdg_module.build_region_ddg)
-    with reference_pipeline():
+    with oracle_arm("ddg"):
         assert data_deps.build_region_ddg is build_region_ddg_reference
     assert (data_deps.build_region_ddg, data_deps.transitive_reduce,
             region_pdg_module.build_region_ddg) == saved

@@ -1,9 +1,9 @@
 """The event-driven scheduler must be indistinguishable from the seed scan.
 
-PR contract for the ready-queue rewrite: the event-driven inner loop
-(:mod:`repro.sched.soa`'s ``DenseReadyQueue`` over interned int state +
-the bitset/bitmask liveness tracker) and the preserved scan-driven baseline
-(:mod:`repro.sched.reference`) produce **byte-identical** output at every
+The event-driven inner loop (:mod:`repro.sched.soa`'s ``DenseReadyQueue``
+over interned int state + the bitset/bitmask liveness tracker) and the
+seed scan-driven oracle (:mod:`repro.sched.reference`, patched in by
+``oracle_arm("scheduler")``) produce **byte-identical** output at every
 observable level -- assembly, recorded motions, and the full decision
 trace (PriorityDecision runner-ups, SpeculationRejected, CycleAdvance
 ready counts, UnitOccupancy) -- across machines, scheduling levels, and
@@ -16,8 +16,8 @@ import pytest
 from repro.compiler import compile_c
 from repro.machine.configs import CONFIGS
 from repro.obs import CollectingTracer, MetricsCollector
+from repro.reference import oracle_arm
 from repro.sched.candidates import ScheduleLevel
-from repro.sched.reference import reference_scheduler, scan_scheduler
 from repro.verify.fuzz import derive_seed
 from repro.verify.generator import generate_program
 from repro.xform.pipeline import PipelineConfig
@@ -71,7 +71,7 @@ def assert_arms_agree(source, level, machine, **kwargs):
             return ("raised", str(exc))
 
     event_arm = arm()
-    with reference_scheduler():
+    with oracle_arm("scheduler"):
         scan_arm = arm()
     if event_arm[0] == "raised" or scan_arm[0] == "raised":
         assert event_arm == scan_arm, "only one arm stalled"
@@ -110,20 +110,10 @@ def test_fuzz_corpus_identical_wide_sweep(index):
                           machine, allow_duplication=True)
 
 
-def test_scan_scheduler_restores_engine():
-    from repro.sched import global_sched
-
-    before = global_sched._ENGINE
-    with scan_scheduler():
-        assert global_sched._ENGINE == "scan"
-    assert global_sched._ENGINE == before
-
-
 def test_profile_priority_fn_runs_on_soa_engine():
-    """The branch-profile priority function advertises static all-int
-    per-block-pass keys (:class:`repro.sched.heuristics.StaticBlockPriority`),
-    so the SoA engine packs them and keeps the dense path -- byte-identical
-    to the forced scan engine, traces included."""
+    """The branch-profile priority function's keys are static all-int
+    tuples, so the SoA engine packs them -- byte-identical to the seed
+    scan pass, traces included."""
     from repro.sched.profiling import BranchProfile
 
     profile = BranchProfile({"LH.1": 10, "L.4": 9, "L.6": 1}, runs=1)
@@ -142,26 +132,38 @@ def test_profile_priority_fn_runs_on_soa_engine():
         return assembly, events, metrics
 
     default_asm, default_trace, metrics = build()
-    # the profile fn really ran on the dense engine, not a silent fallback
+    # the profile fn really ran on the dense engine
     assert metrics.counters.get("sched.soa.packed_keys", 0) > 0
-    with scan_scheduler():
+    with oracle_arm("scan"):
         scan_asm, scan_trace, scan_metrics = build()
     assert scan_metrics.counters.get("sched.soa.packed_keys", 0) == 0
     assert default_asm == scan_asm
     assert default_trace == scan_trace
 
 
-def test_dynamic_priority_fn_falls_back_to_scan():
-    """A plain callable cannot promise static per-block keys, so
-    ``schedule_region`` must take the scan pass -- and still produce the
-    schedule the forced scan engine does."""
+def _paper_key(ins, *, useful, priorities):
+    d, cp = priorities.get(id(ins), (0, 1))
+    return (0 if useful else 1, -d, -cp, ins.uid)
+
+
+def _no_class_key(ins, *, useful, priorities):
+    d, cp = priorities.get(id(ins), (0, 1))
+    return (-d, -cp, ins.uid)
+
+
+def _order_only_key(ins, *, useful, priorities):
+    return (ins.uid,)
+
+
+@pytest.mark.parametrize("priority_fn",
+                         [_paper_key, _no_class_key, _order_only_key],
+                         ids=["paper", "no-class", "order-only"])
+def test_custom_priority_orders_identical(priority_fn):
+    """Custom Section 5.2 orders (the ablation bench's) are packed by the
+    SoA engine and schedule exactly as the seed scan pass sorts them."""
     from repro.ir.parser import parse_function
     from repro.ir.printer import format_function
     from repro.sched.driver import global_schedule
-
-    def dynamic_fn(ins, *, useful, priorities):
-        d, cp = priorities.get(id(ins), (0, 0))
-        return (0 if useful else 1, -d, -cp, ins.uid)
 
     source = compile_c(MINMAX, machine=CONFIGS["rs6k"](),
                        level=ScheduleLevel.NONE)["minmax"]
@@ -169,13 +171,17 @@ def test_dynamic_priority_fn_falls_back_to_scan():
 
     def build():
         func = parse_function(text)
+        trace = CollectingTracer()
         metrics = MetricsCollector()
         global_schedule(func, CONFIGS["rs6k"](), ScheduleLevel.SPECULATIVE,
-                        priority_fn=dynamic_fn, metrics=metrics)
-        return format_function(func), metrics
+                        priority_fn=priority_fn, tracer=trace,
+                        metrics=metrics)
+        events = [{**e.to_dict(), "elapsed_ms": None} for e in trace.events]
+        return format_function(func), events, metrics
 
-    default_out, metrics = build()
-    assert metrics.counters.get("sched.soa.packed_keys", 0) == 0
-    with scan_scheduler():
-        forced_out, _ = build()
-    assert default_out == forced_out
+    soa_out, soa_trace, metrics = build()
+    assert metrics.counters.get("sched.soa.packed_keys", 0) > 0
+    with oracle_arm("scheduler"):
+        scan_out, scan_trace, _ = build()
+    assert soa_out == scan_out
+    assert soa_trace == scan_trace

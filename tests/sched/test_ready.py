@@ -1,12 +1,21 @@
-"""Dependence-state (ready list) bookkeeping tests."""
+"""Dependence-state (ready list) bookkeeping tests.
+
+The non-cache cases run on every implementation: the production
+struct-of-arrays state and the seed per-query state the scan oracle
+uses.  The cache cases pin the SoA state's DDG-version invalidation.
+"""
 
 from repro.ir import parse_function
 from repro.machine import rs6k
 from repro.pdg import build_block_ddg
-from repro.sched import DependenceState
+from repro.pdg.reference import DependenceStateReference
+from repro.sched import DenseDependenceState
+
+#: every dependence-state implementation the non-cache cases cover
+STATES = (DenseDependenceState, DependenceStateReference)
 
 
-def make_state():
+def make_state(state_cls=DenseDependenceState):
     func = parse_function("""
 function f
 a:
@@ -18,67 +27,72 @@ a:
     block = func.block("a")
     machine = rs6k()
     ddg = build_block_ddg(block, machine)
-    state = DependenceState(ddg, machine)
+    state = state_cls(ddg, machine)
     state.begin_block()
     return block, state
 
 
+def each_state():
+    """One fresh ``(block, state)`` per implementation in :data:`STATES`."""
+    return [make_state(state_cls) for state_cls in STATES]
+
+
 def test_initially_only_roots_ready():
-    block, state = make_state()
-    load, ai, cmp_i, bt = block.instrs
-    assert state.deps_satisfied(load)
-    assert not state.deps_satisfied(ai)
-    assert not state.deps_satisfied(cmp_i)
+    for block, state in each_state():
+        load, ai, cmp_i, bt = block.instrs
+        assert state.deps_satisfied(load)
+        assert not state.deps_satisfied(ai)
+        assert not state.deps_satisfied(cmp_i)
 
 
 def test_issue_unlocks_successors_with_weights():
-    block, state = make_state()
-    load, ai, cmp_i, bt = block.instrs
-    state.mark_issued(load, 0)
-    assert state.deps_satisfied(ai)
-    assert state.earliest_start(ai) == 2  # exec 1 + load delay 1
-    state.mark_issued(ai, 2)
-    assert state.earliest_start(cmp_i) == 3
-    state.mark_issued(cmp_i, 3)
-    assert state.earliest_start(bt) == 7  # 3 + exec 1 + compare delay 3
+    for block, state in each_state():
+        load, ai, cmp_i, bt = block.instrs
+        state.mark_issued(load, 0)
+        assert state.deps_satisfied(ai)
+        assert state.earliest_start(ai) == 2  # exec 1 + load delay 1
+        state.mark_issued(ai, 2)
+        assert state.earliest_start(cmp_i) == 3
+        state.mark_issued(cmp_i, 3)
+        assert state.earliest_start(bt) == 7  # 3 + exec 1 + compare delay 3
 
 
 def test_prefulfilled_is_timing_neutral():
-    block, state = make_state()
-    load, ai, cmp_i, bt = block.instrs
-    state.mark_prefulfilled(load)
-    assert state.deps_satisfied(ai)
-    assert state.earliest_start(ai) == 0
+    for block, state in each_state():
+        load, ai, cmp_i, bt = block.instrs
+        state.mark_prefulfilled(load)
+        assert state.deps_satisfied(ai)
+        assert state.earliest_start(ai) == 0
 
 
 def test_begin_block_clears_timing_but_not_fulfilment():
-    block, state = make_state()
-    load, ai, cmp_i, bt = block.instrs
-    state.mark_issued(load, 5)
-    state.begin_block()
-    assert state.is_fulfilled(load)
-    assert state.earliest_start(ai) == 0
+    for block, state in each_state():
+        load, ai, cmp_i, bt = block.instrs
+        state.mark_issued(load, 5)
+        state.begin_block()
+        assert state.is_fulfilled(load)
+        assert state.earliest_start(ai) == 0
 
 
 def test_carry_shifts_previous_starts():
-    block, state = make_state()
-    load, ai, cmp_i, bt = block.instrs
-    state.mark_issued(cmp_i, 4)
-    # previous pass was 5 cycles long: cmp looks issued at cycle -1, so
-    # the branch still owes 3 of its 4 separation cycles
-    state.begin_block(carry_cycles=5)
-    state.mark_prefulfilled(load)
-    state.mark_prefulfilled(ai)
-    assert state.earliest_start(bt) == 3
+    for block, state in each_state():
+        load, ai, cmp_i, bt = block.instrs
+        state.mark_issued(cmp_i, 4)
+        # previous pass was 5 cycles long: cmp looks issued at cycle -1,
+        # so the branch still owes 3 of its 4 separation cycles
+        state.begin_block(carry_cycles=5)
+        state.mark_prefulfilled(load)
+        state.mark_prefulfilled(ai)
+        assert state.earliest_start(bt) == 3
 
 
 def test_carry_expires_after_one_block():
-    block, state = make_state()
-    load, ai, cmp_i, bt = block.instrs
-    state.mark_issued(cmp_i, 4)
-    state.begin_block(carry_cycles=5)
-    state.begin_block(carry_cycles=1)
-    assert state.earliest_start(bt) == 0  # two blocks later: neutral
+    for block, state in each_state():
+        load, ai, cmp_i, bt = block.instrs
+        state.mark_issued(cmp_i, 4)
+        state.begin_block(carry_cycles=5)
+        state.begin_block(carry_cycles=1)
+        assert state.earliest_start(bt) == 0  # two blocks later: neutral
 
 
 # -- DDG-version cache invalidation ------------------------------------------
@@ -118,7 +132,7 @@ a:
     machine = rs6k()
     ddg = build_block_ddg(block, machine)
     one, two = block.instrs
-    state = DependenceState(ddg, machine)
+    state = DenseDependenceState(ddg, machine)
     state.begin_block()
     # independent at first: both are ready roots
     assert state.deps_satisfied(one) and state.deps_satisfied(two)

@@ -6,9 +6,10 @@ CSR flattening of the dependence adjacency with precomputed edge weights.
 These properties pin them against the object graph on randomized real
 regions (the differential fuzzer's program generator, compiled to IR),
 plus the cache-invalidation contract (``DDG.version`` bumps) and the
-order-preservation of :func:`pack_rows`.
+order-preservation and key contract of :func:`pack_rows`.
 """
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -19,6 +20,15 @@ from repro.sched.candidates import ScheduleLevel
 from repro.sched.regions import build_region_pdg, find_regions
 from repro.sched.soa import pack_rows
 from repro.verify.generator import generate_program
+
+#: a loop with a diamond: speculative and useful candidates both exist
+MINMAX_LOOP = (
+    "int f(int a[], int n) {\n"
+    "    int m = 0; int i = 0;\n"
+    "    while (i < n) { int v = a[i]; if (v > m) m = v; i = i + 1; }\n"
+    "    return m;\n"
+    "}\n"
+)
 
 
 def region_ddgs(seed):
@@ -125,3 +135,34 @@ def test_pack_rows_preserves_lexicographic_order(data):
         for b, pb in zip(rows, packed):
             assert (a < b) == (pa < pb)
             assert (a == b) == (pa == pb)
+
+
+def test_pack_rows_rejects_ragged_rows():
+    # zip() would silently drop the third column of the longer row
+    with pytest.raises(TypeError, match="equal-length tuples of ints"):
+        pack_rows([(0, 5, 1), (0, 3)])
+
+
+@pytest.mark.parametrize("rows", [
+    [(0, 1.5), (0, 2)],          # a float key
+    [(0, 1.0), (0, 1.0)],        # a constant float column
+    [(1,), (2.5,), (3,)],        # a float between int extrema
+    [("a",), ("b",)],            # not numbers at all
+], ids=["float", "constant-float", "mixed", "str"])
+def test_pack_rows_rejects_non_int_keys(rows):
+    with pytest.raises(TypeError, match="static for the duration"):
+        pack_rows(rows)
+
+
+def test_schedule_region_rejects_float_priority_keys():
+    """A custom ``priority_fn`` reaches the packer unchanged, so a key the
+    engine cannot order fails loudly instead of mis-scheduling."""
+    from repro.sched.driver import global_schedule
+
+    def float_key(ins, *, useful, priorities):
+        return (0 if useful else 1, ins.uid / 2)
+
+    func = compile_c(MINMAX_LOOP, level=ScheduleLevel.NONE)["f"].func
+    with pytest.raises(TypeError, match="equal-length tuples of ints"):
+        global_schedule(func, CONFIGS["rs6k"](), ScheduleLevel.SPECULATIVE,
+                        priority_fn=float_key)
