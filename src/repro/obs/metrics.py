@@ -211,11 +211,8 @@ def format_stats(title: str, machine_name: str, level_name: str,
                              f"visits)")
         packed = c.get("sched.soa.packed_keys", 0)
         if packed:
-            interns = metrics.series.get("sched.soa.intern_ms", (0, 0.0, 0.0))
             soa_rows = (
                 ("priority keys packed to ints", packed),
-                ("dense-table bytes interned",
-                 c.get("sched.soa.dense_bytes", 0)),
                 ("liveness queries from bitmask",
                  c.get("sched.soa.mask_queries", 0)),
                 ("liveness bitmask updates",
@@ -225,11 +222,6 @@ def format_stats(title: str, machine_name: str, level_name: str,
             lines.append("struct-of-arrays core")
             for label, count in soa_rows:
                 lines.append(f"  {label:<33}{count:>6}")
-            if interns[0]:
-                lines.append(f"  interning passes                 "
-                             f"{interns[0]:>6}  "
-                             f"({interns[1]:.2f} ms total, "
-                             f"max {interns[2]:.2f} ms)")
         tables = c.get("analysis.dense.tables", 0)
         if tables:
             dense_rows = (

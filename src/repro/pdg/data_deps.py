@@ -15,6 +15,12 @@ kinds carry zero (Section 4.2).  Dependences are computed both within
 blocks and between every ordered pair of blocks ``(A, B)`` with ``B``
 reachable from ``A`` in the forward control flow graph.
 
+A graph is built for one machine and is the only representation of the
+DDG: each instruction is indexed in the order it is added (program order,
+blocks in topological order), and each edge carries its endpoint indices
+and its start-to-start weight on that machine, so the schedulers walk the
+per-index edge lists directly.
+
 The interblock pass summarises each block's defs/uses/memory traffic
 *once* and merges the summaries of a block's forward-reachable
 predecessors along the region's topological order, so each block's
@@ -31,7 +37,6 @@ ready-list bookkeeping small.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import Enum
 from typing import Sequence
 
@@ -52,28 +57,35 @@ class DepKind(Enum):
         return f"DepKind.{self.name}"
 
 
-@dataclass(frozen=True, eq=False)
 class DepEdge:
     """A dependence ``src -> dst``: dst must start >= start(src) + weight.
 
-    Compares (and hashes) by identity: ``src``/``dst`` are
-    identity-compared instructions and ``_by_pair`` keeps a single edge
-    per pair, so value equality could only ever match the same object --
-    while making every ``list.remove`` in the graph a field-by-field
-    scan.
+    ``src_idx``/``dst_idx`` are the endpoints' indices in the owning
+    graph and ``weight`` is the minimum start-to-start separation on the
+    graph's machine: ``exec_time(src) + delay`` for flow edges; for anti/
+    output/memory edges the paper's delays are zero, but ``dst`` must
+    still start no earlier than ``src`` -- we encode that as weight 0 with
+    *issue order* preserved by the scheduler (an instruction is only ready
+    once all its predecessors have been issued).
 
-    ``weight = exec_time(src) + delay`` for flow edges; for anti/output/
-    memory edges the paper's delays are zero, but ``dst`` must still start
-    no earlier than ``src`` -- we encode that as weight 0 with *issue order*
-    preserved by the scheduler (an instruction is only ready once all its
-    predecessors have been issued).
+    Compares (and hashes) by identity: the graph keeps a single edge per
+    pair, so value equality could only ever match the same object.
     """
 
-    src: Instruction
-    dst: Instruction
-    kind: DepKind
-    delay: int
-    reg: Reg | None = None
+    __slots__ = ("src", "dst", "kind", "delay", "reg",
+                 "src_idx", "dst_idx", "weight")
+
+    def __init__(self, src: Instruction, dst: Instruction, kind: DepKind,
+                 delay: int, reg: Reg | None, src_idx: int, dst_idx: int,
+                 weight: int) -> None:
+        self.src = src
+        self.dst = dst
+        self.kind = kind
+        self.delay = delay
+        self.reg = reg
+        self.src_idx = src_idx
+        self.dst_idx = dst_idx
+        self.weight = weight
 
     def __repr__(self) -> str:
         tag = f" {self.reg}" if self.reg is not None else ""
@@ -82,70 +94,82 @@ class DepEdge:
 
 
 class DataDependenceGraph:
-    """Dependence edges over a set of instructions, keyed by identity.
+    """Dependence edges over a set of instructions, for one machine.
 
-    ``succs``/``preds`` return **read-only views** of the internal adjacency
-    lists (the scheduler queries them on its inner loop, so per-call copies
-    were measurable); a caller that mutates the graph while iterating must
-    snapshot first (``list(ddg.succs(ins))``).  Every mutation bumps
+    Every instruction gets an append-only index when it is added
+    (``index``: ``id(ins) -> position in instructions``), so an index is
+    stable for the life of the graph.  Each edge is stored once and listed
+    in the per-index ``succ``/``pred`` lists; it carries both endpoint
+    indices and its machine weight, so the schedulers' hot loops walk
+    these lists directly.
+
+    ``succs``/``preds`` return **read-only views** of those lists; a
+    caller that mutates the graph while iterating must snapshot first
+    (``list(ddg.succs(ins))``).  Every edge insertion/removal bumps
     :attr:`version`, which incremental consumers (the scheduler's
-    :class:`~repro.sched.soa.DenseDependenceState`) use to invalidate
+    :class:`~repro.sched.soa.DenseDependenceState`) use to recompute
     their derived state.
     """
 
-    def __init__(self) -> None:
-        self._succs: dict[int, list[DepEdge]] = {}
-        self._preds: dict[int, list[DepEdge]] = {}
-        self._by_pair: dict[tuple[int, int], DepEdge] = {}
+    def __init__(self, machine: MachineModel) -> None:
+        self.machine = machine
         self.instructions: list[Instruction] = []
-        self._known: set[int] = set()
+        self.index: dict[int, int] = {}
+        self.succ: list[list[DepEdge]] = []
+        self.pred: list[list[DepEdge]] = []
+        self._by_pair: dict[tuple[int, int], DepEdge] = {}
         #: bumped on every edge insertion/removal (for cache invalidation)
         self.version = 0
-        #: (version, machine, DenseDDG) cache for :meth:`to_dense`
-        self._dense: tuple | None = None
 
     # -- construction --------------------------------------------------------
 
-    def add_instruction(self, ins: Instruction) -> None:
-        if id(ins) not in self._known:
-            self._known.add(id(ins))
+    def add_instruction(self, ins: Instruction) -> int:
+        """Index of ``ins``, appending it first if it is new."""
+        i = self.index.get(id(ins))
+        if i is None:
+            i = len(self.instructions)
+            self.index[id(ins)] = i
             self.instructions.append(ins)
-            self._succs[id(ins)] = []
-            self._preds[id(ins)] = []
+            self.succ.append([])
+            self.pred.append([])
+        return i
 
     def add_edge(self, src: Instruction, dst: Instruction, kind: DepKind,
                  delay: int, reg: Reg | None = None) -> None:
         """Insert an edge; parallel edges keep only the strongest delay."""
         if src is dst:
             return
-        src_id = id(src)
-        dst_id = id(dst)
-        # inline the known-instruction checks: edge insertion is the
-        # single hottest call of region-DDG construction and endpoints
-        # are almost always registered already
-        if src_id not in self._known:
-            self.add_instruction(src)
-        if dst_id not in self._known:
-            self.add_instruction(dst)
-        key = (src_id, dst_id)
+        # inline the index lookups: edge insertion is the single hottest
+        # call of region-DDG construction and endpoints are almost always
+        # registered already
+        index = self.index
+        i = index.get(id(src))
+        if i is None:
+            i = self.add_instruction(src)
+        j = index.get(id(dst))
+        if j is None:
+            j = self.add_instruction(dst)
+        key = (i, j)
         existing = self._by_pair.get(key)
         if existing is not None and existing.delay >= delay:
             return
-        edge = DepEdge(src, dst, kind, delay, reg)
+        weight = (self.machine.exec_time(src) + delay
+                  if kind is DepKind.FLOW else 0)
+        edge = DepEdge(src, dst, kind, delay, reg, i, j, weight)
         if existing is not None:
-            self._succs[src_id].remove(existing)
-            self._preds[dst_id].remove(existing)
+            self.succ[i].remove(existing)
+            self.pred[j].remove(existing)
         self._by_pair[key] = edge
-        self._succs[src_id].append(edge)
-        self._preds[dst_id].append(edge)
+        self.succ[i].append(edge)
+        self.pred[j].append(edge)
         self.version += 1
 
     def remove_edge(self, edge: DepEdge) -> None:
-        key = (id(edge.src), id(edge.dst))
+        key = (edge.src_idx, edge.dst_idx)
         if self._by_pair.get(key) is edge:
             del self._by_pair[key]
-            self._succs[id(edge.src)].remove(edge)
-            self._preds[id(edge.dst)].remove(edge)
+            self.succ[edge.src_idx].remove(edge)
+            self.pred[edge.dst_idx].remove(edge)
             self.version += 1
 
     # -- queries -----------------------------------------------------------------
@@ -154,11 +178,13 @@ class DataDependenceGraph:
 
     def succs(self, ins: Instruction) -> Sequence[DepEdge]:
         """Outgoing edges of ``ins`` -- a read-only view, do not mutate."""
-        return self._succs.get(id(ins), self._NO_EDGES)
+        i = self.index.get(id(ins))
+        return self._NO_EDGES if i is None else self.succ[i]
 
     def preds(self, ins: Instruction) -> Sequence[DepEdge]:
         """Incoming edges of ``ins`` -- a read-only view, do not mutate."""
-        return self._preds.get(id(ins), self._NO_EDGES)
+        i = self.index.get(id(ins))
+        return self._NO_EDGES if i is None else self.pred[i]
 
     def edges(self) -> list[DepEdge]:
         return list(self._by_pair.values())
@@ -171,146 +197,50 @@ class DataDependenceGraph:
     def edge_count(self) -> int:
         return len(self._by_pair)
 
-    def has_edge(self, src: Instruction, dst: Instruction) -> bool:
-        return (id(src), id(dst)) in self._by_pair
-
     def edge(self, src: Instruction, dst: Instruction) -> DepEdge | None:
-        return self._by_pair.get((id(src), id(dst)))
+        i = self.index.get(id(src))
+        j = self.index.get(id(dst))
+        if i is None or j is None:
+            return None
+        return self._by_pair.get((i, j))
 
-    def to_dense(self, machine: MachineModel) -> "DenseDDG":
-        """A struct-of-arrays snapshot of this graph (see :class:`DenseDDG`).
+    def to_dense(self, machine: MachineModel) -> "DataDependenceGraph":
+        """This graph, checked against ``machine``.
 
-        Cached per ``(version, machine)``: mutation bumps :attr:`version`
-        and the next call rebuilds.  Because :attr:`instructions` is
-        append-only, an instruction's dense index is stable across
-        rebuilds -- consumers may keep per-index facts (fulfilment flags,
-        issue cycles) alive over graph mutations and only extend them.
-        """
-        cached = self._dense
-        if (cached is not None and cached[0] == self.version
-                and cached[1] is machine):
-            return cached[2]
-        dense = DenseDDG(self, machine)
-        self._dense = (self.version, machine, dense)
-        return dense
+        The graph is already index-addressed and its edge weights are
+        ``machine``-specific, so the only thing to do is refuse a machine
+        other than the one it was built for."""
+        if machine is not self.machine and machine != self.machine:
+            raise ValueError(
+                f"dependence graph was built for machine "
+                f"{self.machine.name!r}, not {machine.name!r}")
+        return self
 
     def __repr__(self) -> str:
         return (f"<DataDependenceGraph {len(self.instructions)} instrs, "
                 f"{len(self._by_pair)} edges>")
 
 
-class DenseDDG:
-    """Read-only struct-of-arrays view of one :class:`DataDependenceGraph`.
-
-    Instructions are interned to dense indices (``index``: ``id(ins) ->
-    position in the append-only instruction list``) and the adjacency is
-    flattened to CSR posting lists: the successors of instruction ``i``
-    are ``succ_idx[succ_off[i]:succ_off[i+1]]`` with the minimum
-    start-to-start separations in the parallel ``succ_w`` slice
-    (``exec_time(src) + delay`` for flow edges, 0 otherwise -- the weights
-    are machine-dependent, which is why the snapshot is taken against a
-    machine model).  ``pred_*`` is the transpose.  The scheduler's hot
-    loop runs entirely on these int arrays; edge *kind*/*reg* metadata
-    stays behind on the object graph, which remains the source of truth
-    for mutation.
-    """
-
-    __slots__ = ("version", "n", "instrs", "index",
-                 "succ_off", "succ_idx", "succ_w",
-                 "pred_off", "_pi", "_pw")
-
-    def __init__(self, ddg: DataDependenceGraph, machine: MachineModel):
-        from array import array
-
-        instrs = ddg.instructions
-        n = len(instrs)
-        index = {id(ins): i for i, ins in enumerate(instrs)}
-        exec_time = machine.exec_time
-        flow = DepKind.FLOW
-        succ_off = [0] * (n + 1)
-        si: list[int] = []
-        sw: list[int] = []
-        for i, ins in enumerate(instrs):
-            exec_i = exec_time(ins)
-            for edge in ddg._succs[id(ins)]:
-                si.append(index[id(edge.dst)])
-                sw.append(exec_i + edge.delay if edge.kind is flow else 0)
-            succ_off[i + 1] = len(si)
-        # predecessor *degrees* (pred_off) are cheap and always needed
-        # (the fresh-state fast path reads only them); the transposed
-        # posting lists are built lazily on first pred_idx/pred_w access
-        # -- a block pass with no carried timing never pays for them
-        pred_off = [0] * (n + 1)
-        for j in si:
-            pred_off[j + 1] += 1
-        for j in range(n):
-            pred_off[j + 1] += pred_off[j]
-        self.version = ddg.version
-        self.n = n
-        self.instrs = list(instrs)
-        self.index = index
-        self.succ_off = array("i", succ_off)
-        self.succ_idx = array("i", si)
-        self.succ_w = array("i", sw)
-        self.pred_off = array("i", pred_off)
-        self._pi = None
-        self._pw = None
-
-    def _transpose(self):
-        """Counting-sort transpose of the succ CSR -- pure int work, no
-        second walk of the edge objects (within one node's pred list the
-        order is by source index; no consumer is order-sensitive)."""
-        from array import array
-
-        succ_off = self.succ_off
-        si = self.succ_idx
-        sw = self.succ_w
-        cursor = list(self.pred_off)
-        m = len(si)
-        pi = [0] * m
-        pw = [0] * m
-        for i in range(self.n):
-            for k in range(succ_off[i], succ_off[i + 1]):
-                j = si[k]
-                p = cursor[j]
-                pi[p] = i
-                pw[p] = sw[k]
-                cursor[j] = p + 1
-        self._pi = array("i", pi)
-        self._pw = array("i", pw)
-
-    @property
-    def pred_idx(self):
-        if self._pi is None:
-            self._transpose()
-        return self._pi
-
-    @property
-    def pred_w(self):
-        if self._pw is None:
-            self._transpose()
-        return self._pw
-
-    def nbytes(self) -> int:
-        """Approximate footprint of the *materialized* flat tables
-        (observability; does not force the lazy transpose)."""
-        total = 0
-        for arr in (self.succ_off, self.succ_idx, self.succ_w,
-                    self.pred_off, self._pi, self._pw):
-            if arr is not None:
-                total += arr.itemsize * len(arr)
-        return total
-
-    def __repr__(self) -> str:  # pragma: no cover - cosmetic
-        return (f"<DenseDDG {self.n} instrs, {len(self.succ_idx)} edges, "
-                f"v{self.version}>")
-
-
-def _edge_weight(machine: MachineModel, edge: DepEdge) -> int:
-    """Minimum start-to-start separation the edge imposes."""
-    if edge.kind is DepKind.FLOW:
-        return machine.exec_time(edge.src) + edge.delay
-    return 0
+def add_pair_edges(ddg: DataDependenceGraph, src: Instruction,
+                   dst: Instruction) -> None:
+    """Dependence edges ``src -> dst`` from the two instructions' current
+    operands: flow/anti/output per register, and a memory edge whenever
+    both touch memory and either writes (never disambiguated)."""
+    flow_delay = ddg.machine.flow_delay
+    src_defs = set(src.reg_defs())
+    src_uses = set(src.reg_uses())
+    for reg in dst.reg_uses():
+        if reg in src_defs:
+            ddg.add_edge(src, dst, DepKind.FLOW,
+                         flow_delay(src, dst, reg), reg)
+    for reg in dst.reg_defs():
+        if reg in src_uses:
+            ddg.add_edge(src, dst, DepKind.ANTI, 0, reg)
+        if reg in src_defs:
+            ddg.add_edge(src, dst, DepKind.OUTPUT, 0, reg)
+    if (src.touches_memory and dst.touches_memory
+            and (src.writes_memory or dst.writes_memory)):
+        ddg.add_edge(src, dst, DepKind.MEM, 0)
 
 
 class _BlockScanState:
@@ -323,8 +253,7 @@ class _BlockScanState:
         self.tracker = AddressTracker()
 
 
-def _scan_block(ddg: DataDependenceGraph, block: BasicBlock,
-                machine: MachineModel) -> None:
+def _scan_block(ddg: DataDependenceGraph, block: BasicBlock) -> None:
     """Intra-block dependences via a single forward scan.
 
     The scan inherently avoids most transitive edges: a flow edge is only
@@ -335,7 +264,7 @@ def _scan_block(ddg: DataDependenceGraph, block: BasicBlock,
     last_def = state.last_def
     uses_since_def = state.uses_since_def
     add_edge = ddg.add_edge
-    flow_delay = machine.flow_delay
+    flow_delay = ddg.machine.flow_delay
     for ins in block.instrs:
         ddg.add_instruction(ins)
         uses = ins.reg_uses()
@@ -392,7 +321,6 @@ def _interblock_edges(
     ddg: DataDependenceGraph,
     blocks: list[BasicBlock],
     reachable_pairs: set[tuple[str, str]],
-    machine: MachineModel,
 ) -> None:
     """Dependences into each block from every forward-reachable earlier
     block, matched through per-register posting lists.
@@ -420,7 +348,7 @@ def _interblock_edges(
             mem_at.append((i, summary.mem_ops))
 
     labels = [block.label for block in blocks]
-    flow_delay = machine.flow_delay
+    flow_delay = ddg.machine.flow_delay
     add_edge = ddg.add_edge
     no_postings: list[tuple[int, list[Instruction]]] = []
     for j, later in enumerate(blocks):
@@ -456,8 +384,8 @@ def _interblock_edges(
 def build_block_ddg(block: BasicBlock, machine: MachineModel,
                     *, reduce: bool = True) -> DataDependenceGraph:
     """Intra-block DDG (used by the basic-block scheduler)."""
-    ddg = DataDependenceGraph()
-    _scan_block(ddg, block, machine)
+    ddg = DataDependenceGraph(machine)
+    _scan_block(ddg, block)
     if reduce:
         transitive_reduce(ddg, machine)
     return ddg
@@ -482,11 +410,11 @@ def build_region_ddg(
     lists (:func:`_interblock_edges`), instead of re-scanning every
     ``(earlier, later)`` pair.
     """
-    ddg = DataDependenceGraph()
+    ddg = DataDependenceGraph(machine)
     for block in blocks:
-        _scan_block(ddg, block, machine)
+        _scan_block(ddg, block)
     if len(blocks) > 1:
-        _interblock_edges(ddg, blocks, reachable_pairs, machine)
+        _interblock_edges(ddg, blocks, reachable_pairs)
     if reduce:
         transitive_reduce(ddg, machine)
     return ddg
@@ -503,89 +431,79 @@ def transitive_reduce(ddg: DataDependenceGraph,
     generalised to be delay-aware: a transitive edge must be *kept* when it
     carries a longer delay than the path through the middle instruction.
 
-    Topological order, positions and per-edge weights are computed once
-    and shared by every source; each source's longest-path sweep is a
-    linear scan over the topological slice up to its furthest direct
-    successor (no priority queue, no work past the last edge it can
-    possibly remove).  The whole pass runs on a dense position-indexed
-    snapshot of the adjacency taken before any removal: a removed edge is
-    by construction dominated by its (remaining) implying path, so every
-    longest-path value and every "best multi-hop path" maximum computed
-    from the snapshot equals the one computed from the live graph, and
-    the removal set is identical -- while the inner loops touch plain
-    list-of-int-tuples instead of edge objects and id() dictionaries.
-    Single-successor sources are skipped outright: a parallel multi-edge
-    path would need a second out-edge to start from.
+    The builders add instructions in program order and draw every edge
+    from an earlier instruction to a later one, so index order is a
+    topological order; an edge against it raises ``ValueError`` (which
+    also rules out cycles).  Each source's longest-path sweep is a linear
+    scan over the index range up to its furthest checked successor (no
+    priority queue, no work past the last edge it can possibly remove).
+    Sources are visited in index order and only ever lose their own
+    out-edges, so every sweep from ``a`` and every in-edge it inspects
+    (from sources after ``a``) is still unremoved: the pass reads the
+    live graph and removes exactly what a sweep over the unreduced graph
+    would.  Single-successor sources are skipped outright: a parallel
+    multi-edge path would need a second out-edge to start from.
     """
-    order = topo_order(ddg)
-    count = len(order)
-    position = {id(ins): i for i, ins in enumerate(order)}
-    exec_time = machine.exec_time
-    flow = DepKind.FLOW
-    #: per-position adjacency snapshots; weights inlined
-    out_at: list[list] = [[] for _ in range(count)]   # (dst_pos, w, edge)
-    in_at: list[list] = [[] for _ in range(count)]    # (src_pos, w)
-    for edge in ddg.iter_edges():
-        w = (exec_time(edge.src) + edge.delay
-             if edge.kind is flow else 0)
-        src_pos = position[id(edge.src)]
-        dst_pos = position[id(edge.dst)]
-        out_at[src_pos].append((dst_pos, w, edge))
-        in_at[dst_pos].append((src_pos, w))
+    ddg.to_dense(machine)
+    if any(edge.src_idx >= edge.dst_idx for edge in ddg.iter_edges()):
+        raise ValueError("data dependence graph has an edge against its "
+                         "build order")
+    succ = ddg.succ
+    pred = ddg.pred
     removed = 0
-    dist = [-1] * count  # reused per source; -1 = unreached
-    for a_pos in range(count):
-        outs = out_at[a_pos]
+    dist = [-1] * len(succ)  # reused per source; -1 = unreached
+    for a, outs in enumerate(succ):
         if len(outs) < 2:
             continue
         # An edge (a, b) is only removable when some *other* edge enters
-        # b: restrict the check set (and the DP horizon) to successors
-        # with a second in-edge in the snapshot.  Sources whose
-        # successors are all single-predecessor skip the DP outright.
+        # b: restrict the check set (and the sweep horizon) to successors
+        # with a second in-edge.  Sources whose successors are all
+        # single-predecessor skip the sweep outright.
         check = None
-        limit = a_pos
-        for item in outs:
-            dst_pos = item[0]
-            if len(in_at[dst_pos]) >= 2:
+        limit = a
+        for edge in outs:
+            b = edge.dst_idx
+            if len(pred[b]) >= 2:
                 if check is None:
-                    check = [item]
+                    check = [edge]
                 else:
-                    check.append(item)
-                if dst_pos > limit:
-                    limit = dst_pos
+                    check.append(edge)
+                if b > limit:
+                    limit = b
         if check is None:
             continue
-        outs = check
-        # Longest-path DP from ``a`` over the topo slice that can matter:
+        # Longest paths from ``a`` over the index range that can matter:
         # every removable edge ends at a checked successor, and every
-        # implying path stays strictly within the slice before it.
-        dist[a_pos] = 0
-        touched = [a_pos]
-        for here in range(a_pos, limit):
+        # implying path stays strictly within the range before it.
+        dist[a] = 0
+        touched = [a]
+        for here in range(a, limit):
             d = dist[here]
             if d < 0:
                 continue
-            for dst_pos, w, _ in out_at[here]:
-                if dst_pos > limit:
+            for edge in succ[here]:
+                b = edge.dst_idx
+                if b > limit:
                     continue
-                cand = d + w
-                if cand > dist[dst_pos]:
-                    if dist[dst_pos] < 0:
-                        touched.append(dst_pos)
-                    dist[dst_pos] = cand
-        for dst_pos, w, edge in outs:
+                cand = d + edge.weight
+                if cand > dist[b]:
+                    if dist[b] < 0:
+                        touched.append(b)
+                    dist[b] = cand
+        for edge in check:
             # Longest a->b path whose final hop is (m, b) with m != a;
             # -1 stands for "no such path" (all real weights are >= 0).
             best_multi = -1
-            for src_pos, in_w in in_at[dst_pos]:
-                if src_pos == a_pos:
+            for in_edge in pred[edge.dst_idx]:
+                m = in_edge.src_idx
+                if m == a:
                     continue
-                d = dist[src_pos]
+                d = dist[m]
                 if d >= 0:
-                    cand = d + in_w
+                    cand = d + in_edge.weight
                     if cand > best_multi:
                         best_multi = cand
-            if best_multi >= w:
+            if best_multi >= edge.weight:
                 ddg.remove_edge(edge)
                 removed += 1
         for here in touched:
@@ -595,22 +513,17 @@ def transitive_reduce(ddg: DataDependenceGraph,
 
 def topo_order(ddg: DataDependenceGraph) -> list[Instruction]:
     """A topological order of the dependence DAG (raises on cycles)."""
-    indeg: dict[int, int] = {}
-    ready: list[Instruction] = []
-    for ins in ddg.instructions:
-        n = len(ddg.preds(ins))
-        indeg[id(ins)] = n
-        if n == 0:
-            ready.append(ins)
+    indeg = [len(edges) for edges in ddg.pred]
+    ready = [i for i, n in enumerate(indeg) if n == 0]
     order: list[Instruction] = []
     while ready:
-        ins = ready.pop()
-        order.append(ins)
-        for edge in ddg.succs(ins):
-            key = id(edge.dst)
-            indeg[key] -= 1
-            if indeg[key] == 0:
-                ready.append(edge.dst)
-    if len(order) != len(ddg.instructions):
+        i = ready.pop()
+        order.append(ddg.instructions[i])
+        for edge in ddg.succ[i]:
+            j = edge.dst_idx
+            indeg[j] -= 1
+            if indeg[j] == 0:
+                ready.append(j)
+    if len(order) != len(indeg):
         raise ValueError("data dependence graph has a cycle")
     return order

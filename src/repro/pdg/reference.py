@@ -29,8 +29,17 @@ from ..ir.basic_block import BasicBlock
 from ..ir.instruction import Instruction
 from ..ir.operand import Reg
 from ..machine.model import MachineModel
-from .data_deps import DataDependenceGraph, DepEdge, DepKind, _edge_weight
+from .data_deps import DataDependenceGraph, DepEdge, DepKind
 from .memory import AddressTracker, SymbolicAddress, may_conflict
+
+
+def _edge_weight(machine: MachineModel, edge: DepEdge) -> int:
+    """Minimum start-to-start separation the edge imposes, recomputed from
+    the machine rather than read from ``edge.weight`` so the oracle does
+    not share the production graph's arithmetic."""
+    if edge.kind is DepKind.FLOW:
+        return machine.exec_time(edge.src) + edge.delay
+    return 0
 
 
 class _CopyingDDG(DataDependenceGraph):
@@ -39,10 +48,10 @@ class _CopyingDDG(DataDependenceGraph):
     of its internal lists)."""
 
     def succs(self, ins: Instruction) -> list[DepEdge]:
-        return list(self._succs.get(id(ins), ()))
+        return list(super().succs(ins))
 
     def preds(self, ins: Instruction) -> list[DepEdge]:
-        return list(self._preds.get(id(ins), ()))
+        return list(super().preds(ins))
 
 
 class _BlockScanStateReference:
@@ -148,7 +157,7 @@ def build_region_ddg_reference(
     *, reduce: bool = True,
 ) -> DataDependenceGraph:
     """The seed region-DDG builder: O(B^2) pairwise interblock scans."""
-    ddg = _CopyingDDG()
+    ddg = _CopyingDDG(machine)
     for block in blocks:
         _scan_block_reference(ddg, block, machine)
     for i, earlier in enumerate(blocks):
@@ -213,13 +222,12 @@ def transitive_reduce_reference(ddg: DataDependenceGraph,
 class DependenceStateReference:
     """The seed dependence state: readiness and earliest start re-derived
     from the predecessor edges on every query.  It takes the place of
-    :class:`repro.sched.soa.DenseDependenceState` under the scan arm, so
-    it accepts (and ignores) the same ``metrics`` argument."""
+    :class:`repro.sched.soa.DenseDependenceState` under the scan arm."""
 
     #: nothing is cached, so a DDG mutation never invalidates anything
     invalidations = 0
 
-    def __init__(self, ddg, machine, metrics=None):
+    def __init__(self, ddg, machine):
         self.ddg = ddg
         self.machine = machine
         self._fulfilled: set[int] = set()

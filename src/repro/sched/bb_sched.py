@@ -9,9 +9,9 @@ the same D/CP heuristics as the global scheduler (without the useful/
 speculative class, which is meaningless inside one block).  A trailing
 branch stays the terminator.
 
-The inner loop runs on the dense substrate: the block's
-:class:`~repro.pdg.data_deps.DenseDDG` snapshot (dense index ==
-block position), priority keys packed to single ints
+The inner loop runs on the block's indexed dependence graph (graph index
+== block position; each edge carries its successor's index and its
+machine weight), priority keys packed to single ints
 (:func:`repro.sched.soa.pack_rows`), unfulfilled-predecessor counts and
 earliest starts in flat lists, and readiness kept incrementally -- issuing
 an instruction classifies each successor once instead of rescanning every
@@ -34,16 +34,13 @@ from .soa import _UNIT_INDEX, pack_rows
 _MAX_STALL = 10_000
 
 
-def _initial_blocked(dense) -> list[int]:
-    """Unfulfilled-predecessor count per dense index.
+def _initial_blocked(ddg) -> list[int]:
+    """Unfulfilled-predecessor count per graph index.
 
     The readiness authority of the block pass; a separate function so
     fault-injection tests can break it.
     """
-    blocked = [0] * dense.n
-    for j in dense.succ_idx:
-        blocked[j] += 1
-    return blocked
+    return [len(edges) for edges in ddg.pred]
 
 
 def schedule_block(block: BasicBlock, machine: MachineModel) -> int:
@@ -55,11 +52,8 @@ def schedule_block(block: BasicBlock, machine: MachineModel) -> int:
         return machine.exec_time(instrs[0])
 
     ddg = build_block_ddg(block, machine)
-    dense = ddg.to_dense(machine)
-    n = dense.n
-    succ_off = dense.succ_off
-    succ_idx = dense.succ_idx
-    succ_w = dense.succ_w
+    n = len(instrs)
+    succ = ddg.succ
 
     # Final tie-break: the *incoming* order.  When this runs as the
     # post-pass after global scheduling, the incoming order encodes the
@@ -76,9 +70,9 @@ def schedule_block(block: BasicBlock, machine: MachineModel) -> int:
     unit_counts = [machine.unit_count(unit) for unit in _UNIT_INDEX]
 
     term = block.terminator
-    term_idx = dense.index[id(term)] if term is not None else -1
+    term_idx = ddg.index[id(term)] if term is not None else -1
 
-    blocked = _initial_blocked(dense)
+    blocked = _initial_blocked(ddg)
     earliest = [0] * n
     ready = [i for i in range(n) if blocked[i] == 0 and i != term_idx]
     #: future cycle -> indices whose dependences are met but whose
@@ -126,9 +120,9 @@ def schedule_block(block: BasicBlock, machine: MachineModel) -> int:
             issued.append(instrs[i])
             left -= 1
             issued_this_cycle = True
-            for e in range(succ_off[i], succ_off[i + 1]):
-                j = succ_idx[e]
-                bound = cycle + succ_w[e]
+            for edge in succ[i]:
+                j = edge.dst_idx
+                bound = cycle + edge.weight
                 if bound > earliest[j]:
                     earliest[j] = bound
                 count = blocked[j] - 1

@@ -21,9 +21,10 @@ The result: "the instructions in A are reordered and there might be
 instructions external to A that are physically moved into A."
 
 Step 3's inner loop is **event-driven** and runs on **struct-of-arrays
-storage** (:mod:`repro.sched.soa`): the region's instructions are interned
-to dense ints, dependence counters and earliest starts live in flat
-``array('i')`` tables over a CSR snapshot of the DDG, and candidates enter
+storage** (:mod:`repro.sched.soa`): dependence counters and earliest
+starts live in flat ``array('i')`` tables over the region DDG's own
+instruction indices, updated by walking its per-index edge lists (each
+edge carries its endpoint indices and machine weight), and candidates enter
 per-unit ready heaps exactly once -- when their last dependence
 predecessor fulfills -- keyed by priority tuples *packed into single
 ints* at collection time, with future earliest starts absorbed by a
@@ -60,7 +61,7 @@ from ..obs.events import (
 from ..obs.metrics import NULL_METRICS
 from ..obs.tracer import NULL_TRACER
 from ..pdg.pdg import RegionPDG
-from ..pdg.data_deps import DepKind
+from ..pdg.data_deps import add_pair_edges
 from .candidates import (
     Candidate,
     ScheduleLevel,
@@ -127,6 +128,9 @@ class RegionScheduleReport:
     motions: list[Motion] = field(default_factory=list)
     #: local schedule length (cycles) per block, in visit order
     block_cycles: dict[str, int] = field(default_factory=dict)
+    #: blocks whose pass has run -- empty ones too, which issue nothing
+    #: and so get no ``block_cycles`` entry
+    visited: set[str] = field(default_factory=set)
 
     @property
     def useful_motions(self) -> list[Motion]:
@@ -181,7 +185,7 @@ def schedule_region(
     ddg_blocks = [pdg.block(label) for label in pdg.topo_labels]
     priorities = compute_region_priorities(ddg_blocks, pdg.ddg, pdg.machine)
 
-    state = DenseDependenceState(pdg.ddg, pdg.machine, metrics)
+    state = DenseDependenceState(pdg.ddg, pdg.machine)
 
     previous: str | None = None
     for node in pdg.topo_labels:
@@ -202,6 +206,7 @@ def schedule_region(
                         max_speculation, rename_on_demand, carry, report,
                         priority_fn or priority_key, allow_duplication,
                         block_filter, tracer, metrics)
+        report.visited.add(node)
         previous = node
     if metrics.enabled and state.invalidations:
         metrics.inc("sched.ddg_invalidations", state.invalidations)
@@ -484,7 +489,7 @@ def _judge_speculative(seq, queue, live_tracker, label, pdg,
     regs = live_tracker.blocking_regs(ins, label) if observing else ()
     renamed = try_rename_for_motion(
         ins, pdg.func.block(cand.home), label, live_tracker,
-        pdg.ddg, pdg.func, pdg.machine,
+        pdg.ddg, pdg.func,
     )
     if not renamed:
         _note_veto(tracer, metrics, vetoes_logged, live_tracker,
@@ -582,6 +587,7 @@ def _place_duplicates(pdg: RegionPDG, state,
     predecessors and thread them into the dependence graph so later block
     passes order them correctly."""
     func = pdg.func
+    ddg = pdg.ddg
     for pred_label in cand.duplicate_into:
         pred = func.block(pred_label)
         copy = cand.ins.clone()
@@ -590,32 +596,13 @@ def _place_duplicates(pdg: RegionPDG, state,
         func.note_registers(copy)
         # dependences from the predecessor's existing instructions
         for existing in pred.instrs:
-            _add_pair_edges(pdg, existing, copy)
+            add_pair_edges(ddg, existing, copy)
         pred.insert_before_terminator(copy)
         # the join's remaining instructions that depended on the original
         # must now also wait for (and stay below) the copy
-        for edge in tuple(pdg.ddg.succs(cand.ins)):
-            pdg.ddg.add_edge(copy, edge.dst, edge.kind, edge.delay, edge.reg)
-        if pred_label in report.block_cycles:
+        for edge in tuple(ddg.succs(cand.ins)):
+            ddg.add_edge(copy, edge.dst, edge.kind, edge.delay, edge.reg)
+        if pred_label in report.visited:
             # that block's pass already ran: the copy stays at its end,
             # and downstream readiness must not wait on it forever
             state.mark_prefulfilled(copy)
-
-
-def _add_pair_edges(pdg: RegionPDG, src, dst) -> None:
-    """Conservative dependence edges ``src -> dst`` from current operands."""
-    machine = pdg.machine
-    src_defs = set(src.reg_defs())
-    src_uses = set(src.reg_uses())
-    for reg in dst.reg_uses():
-        if reg in src_defs:
-            pdg.ddg.add_edge(src, dst, DepKind.FLOW,
-                             machine.flow_delay(src, dst, reg), reg)
-    for reg in dst.reg_defs():
-        if reg in src_uses:
-            pdg.ddg.add_edge(src, dst, DepKind.ANTI, 0, reg)
-        if reg in src_defs:
-            pdg.ddg.add_edge(src, dst, DepKind.OUTPUT, 0, reg)
-    if (src.touches_memory and dst.touches_memory
-            and (src.writes_memory or dst.writes_memory)):
-        pdg.ddg.add_edge(src, dst, DepKind.MEM, 0)

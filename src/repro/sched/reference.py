@@ -313,7 +313,7 @@ def _ready_candidates(
                     if observing else ())
             renamed = try_rename_for_motion(
                 ins, pdg.func.block(cand.home), label, live_tracker,
-                pdg.ddg, pdg.func, pdg.machine,
+                pdg.ddg, pdg.func,
             )
             if not renamed:
                 _note_veto(tracer, metrics, vetoes_logged, live_tracker,

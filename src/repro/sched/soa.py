@@ -1,17 +1,17 @@
 """Struct-of-arrays storage for the scheduler hot core.
 
 The event-driven engine of :mod:`repro.sched.global_sched` runs each
-region on dense interned storage, so heap operations, dependence-counter
+region on dense indexed storage, so heap operations, dependence-counter
 updates and readiness queries touch machine ints rather than per-
 instruction Python objects:
 
-* :class:`repro.pdg.data_deps.DenseDDG` (built via
-  ``DataDependenceGraph.to_dense``) interns instructions to dense indices
-  and flattens the adjacency to CSR posting lists with precomputed edge
-  weights;
+* the region's :class:`~repro.pdg.data_deps.DataDependenceGraph` indexes
+  its instructions in the order they were added and lists each one's
+  edges by index, every edge carrying its endpoint indices and its
+  machine weight;
 * :class:`DenseDependenceState` keeps the unfulfilled-predecessor
   counters, earliest starts, and issue cycles of the whole region as flat
-  ``array('i')`` / ``bytearray`` tables indexed by that interning;
+  ``array('i')`` / ``bytearray`` tables over those indices;
 * :func:`pack_rows` packs the static per-candidate priority tuples into
   single ints whose ``<`` order equals the tuples' lexicographic order,
   so the ready heaps compare machine ints instead of nested tuples;
@@ -32,17 +32,16 @@ order.  ``tests/sched/test_event_scan_equivalence.py`` and the
 decision traces byte-identical across machines x levels.
 
 Graph mutations (Section 4.2 renames, Definition 6 duplication) bump
-``DataDependenceGraph.version``; the dense snapshot is rebuilt lazily and
-indices are stable (the instruction list is append-only), so fulfilment
-flags and issue cycles survive rebuilds and only the derived counters are
-recomputed.
+``DataDependenceGraph.version``.  Indices are stable (the instruction
+list is append-only), so fulfilment flags and issue cycles survive a
+mutation; the per-index tables are extended to new instructions and only
+the derived counters are recomputed.
 """
 
 from __future__ import annotations
 
 from array import array
 from heapq import heappop, heappush
-from time import perf_counter
 
 from ..ir.opcodes import UnitType
 from ..machine.model import MachineModel
@@ -120,30 +119,29 @@ class DenseDependenceState:
     Behavioural twin of the seed's per-query state
     (:class:`repro.pdg.reference.DependenceStateReference`, which the scan
     oracle runs on), but every per-instruction fact is an array slot
-    indexed by the region's dense interning:
+    indexed by the graph's instruction index:
 
     * ``_fulfilled``: bytearray flag per instruction;
     * ``_blocked``: ``array('i')`` of unfulfilled-predecessor counts,
-      recomputed eagerly from the CSR predecessor lists on snapshot
-      (re)binding and decremented on each fulfilment;
+      recomputed eagerly from the graph's predecessor lists on (re)binding
+      and decremented on each fulfilment;
     * ``_earliest``: ``array('i')`` earliest start within the current
       pass, folded incrementally on issue;
     * ``_local`` / ``_carry``: issue cycles (current pass / shifted
       previous pass) with the :data:`_NEVER` sentinel.
 
-    A DDG version bump triggers a rebind: the dense snapshot is refreshed
-    (indices are stable, new instructions append), surviving per-index
-    facts are extended, and the derived counters are recomputed from the
-    current fulfilment.
+    A DDG version bump triggers a rebind: indices are stable and new
+    instructions append, so surviving per-index facts are extended and
+    the derived counters are recomputed from the current fulfilment.
     """
 
-    def __init__(self, ddg: DataDependenceGraph, machine: MachineModel,
-                 metrics=NULL_METRICS):
-        self.ddg = ddg
-        self.machine = machine
-        self._m = metrics if metrics.enabled else None
+    def __init__(self, ddg: DataDependenceGraph, machine: MachineModel):
+        self.ddg = ddg.to_dense(machine)
         self.invalidations = 0
         self._listener = None
+        #: instructions bound at the last (re)bind; later ones are unknown
+        #: until the next version bump
+        self._n = 0
         self._fulfilled = bytearray()
         self._local = array("i")
         self._carry = array("i")
@@ -160,20 +158,18 @@ class DenseDependenceState:
 
     def set_listener(self, listener) -> None:
         """Subscribe ``listener(idx)`` to blocked-count zero crossings
-        (``idx`` is the instruction's dense index).  After a version bump
+        (``idx`` is the instruction's graph index).  After a version bump
         the counters are recomputed, so the subscriber must requalify via
         the rebuild protocol :class:`DenseReadyQueue` follows."""
         self._listener = listener
 
-    # -- snapshot lifecycle --------------------------------------------------
+    # -- graph binding -------------------------------------------------------
 
     def _bind(self) -> None:
-        """(Re)take the dense snapshot and recompute derived counters."""
-        t0 = perf_counter() if self._m is not None else 0.0
-        dense = self.ddg.to_dense(self.machine)
-        self._dense = dense
+        """Extend the per-index facts to the graph's instructions and
+        recompute derived counters."""
         self._version = self.ddg.version
-        n = dense.n
+        n = self._n = len(self.ddg.instructions)
         grow = n - len(self._fulfilled)
         if grow > 0:
             self._fulfilled.extend(bytes(grow))
@@ -181,44 +177,36 @@ class DenseDependenceState:
             self._local.extend(pad)
             self._carry.extend(pad)
         self._recompute()
-        if self._m is not None:
-            self._m.observe("sched.soa.intern_ms",
-                            (perf_counter() - t0) * 1e3)
-            self._m.inc("sched.soa.dense_bytes", dense.nbytes())
 
     def _recompute(self) -> None:
         """Blocked counts and earliest starts, from scratch (O(V+E))."""
-        dense = self._dense
-        n = dense.n
-        fulfilled = self._fulfilled
-        local = self._local
-        carry = self._carry
-        pred_off = dense.pred_off
+        n = self._n
+        pred = self.ddg.pred
         if (self._n_fulfilled == 0 and not self._pass_issued
                 and not self._carried):
             # fresh state (the common per-region bind): every predecessor
             # is unfulfilled and nothing has started -- blocked counts are
             # just the pred degrees, earliest starts are all zero
-            self._blocked = array("i", [pred_off[i + 1] - pred_off[i]
-                                        for i in range(n)])
+            self._blocked = array("i", [len(pred[i]) for i in range(n)])
             self._earliest = array("i", bytes(4 * n))
             return
-        pred_idx = dense.pred_idx
-        pred_w = dense.pred_w
+        fulfilled = self._fulfilled
+        local = self._local
+        carry = self._carry
         blocked = array("i", bytes(4 * n))
         earliest = array("i", bytes(4 * n))
         for i in range(n):
             count = 0
             e = 0
-            for k in range(pred_off[i], pred_off[i + 1]):
-                j = pred_idx[k]
+            for edge in pred[i]:
+                j = edge.src_idx
                 if not fulfilled[j]:
                     count += 1
                 start = local[j]
                 if start == _NEVER:
                     start = carry[j]
                 if start != _NEVER:
-                    bound = start + pred_w[k]
+                    bound = start + edge.weight
                     if bound > e:
                         e = bound
             blocked[i] = count
@@ -232,9 +220,10 @@ class DenseDependenceState:
             self.invalidations += 1
 
     def index_of(self, ins) -> int:
-        """Dense index of ``ins`` in the current snapshot (-1 if absent)."""
+        """Graph index of ``ins`` (-1 if it is not bound)."""
         self._sync()
-        return self._dense.index.get(id(ins), -1)
+        i = self.ddg.index.get(id(ins), -1)
+        return i if i < self._n else -1
 
     # -- pass lifecycle ------------------------------------------------------
 
@@ -278,23 +267,19 @@ class DenseDependenceState:
         self._pass_issued = []
         # every earliest start was relative to the old pass's clock; under
         # the new one only carried predecessors constrain anything
-        dense = self._dense
         earliest = self._earliest
         zeros = self._zeros
-        if len(zeros) != dense.n:
-            zeros = self._zeros = array("i", bytes(4 * dense.n))
+        if len(zeros) != self._n:
+            zeros = self._zeros = array("i", bytes(4 * self._n))
         earliest[:] = zeros              # C-level fill, no reallocation
-        succ_off = dense.succ_off
-        succ_idx = dense.succ_idx
-        succ_w = dense.succ_w
+        succ = self.ddg.succ
         for i in carried:
             base = carry[i]
-            for k in range(succ_off[i], succ_off[i + 1]):
-                j = succ_idx[k]
-                bound = base + succ_w[k]
+            for edge in succ[i]:
+                j = edge.dst_idx
+                bound = base + edge.weight
                 if bound > earliest[j]:
                     earliest[j] = bound
-        self._earliest = earliest
 
     # -- state transitions ---------------------------------------------------
 
@@ -305,13 +290,10 @@ class DenseDependenceState:
             return
         self._fulfilled[i] = 1
         self._n_fulfilled += 1
-        dense = self._dense
         blocked = self._blocked
         listener = self._listener
-        succ_off = dense.succ_off
-        succ_idx = dense.succ_idx
-        for k in range(succ_off[i], succ_off[i + 1]):
-            j = succ_idx[k]
+        for edge in self.ddg.succ[i]:
+            j = edge.dst_idx
             count = blocked[j] - 1
             blocked[j] = count
             if count == 0 and listener is not None:
@@ -331,20 +313,16 @@ class DenseDependenceState:
         if self._local[i] == _NEVER:
             self._pass_issued.append(i)
         self._local[i] = cycle
-        dense = self._dense
         blocked = self._blocked
         earliest = self._earliest
         listener = self._listener
-        succ_off = dense.succ_off
-        succ_idx = dense.succ_idx
-        succ_w = dense.succ_w
-        for k in range(succ_off[i], succ_off[i + 1]):
-            j = succ_idx[k]
+        for edge in self.ddg.succ[i]:
+            j = edge.dst_idx
             # fold the timing bound *before* any zero-crossing can fire
             # the listener: the queue classifies the successor against
             # earliest_start_idx the moment it unblocks, and the per-query
             # oracle always sees this issue's contribution
-            bound = cycle + succ_w[k]
+            bound = cycle + edge.weight
             if bound > earliest[j]:
                 earliest[j] = bound
             if first:
@@ -427,10 +405,8 @@ class DenseReadyQueue:
         self._drain_seq = -1             # last seq judged this scan
         self._requalify = False          # stale pre-mutation judgments exist
 
-        state._sync()
-        dense_index = state._dense.index
         units = [unit_index[c.ins.unit] for c in cands]
-        idxs = [dense_index.get(id(c.ins), -1) for c in cands]
+        idxs = [state.index_of(c.ins) for c in cands]
         veto = bytearray(
             0 if (c.useful or c.duplicate_into) else 1 for c in cands)
         active: list[int] = []
@@ -460,7 +436,7 @@ class DenseReadyQueue:
         self._active = active
         self.term_seq = term_seq
         self.duplication_seqs = dup_seqs
-        #: dense DDG index -> seq, for the dependence-state listener
+        #: DDG index -> seq, for the dependence-state listener
         self._seq_of_idx = {idxs[s]: s for s in active if idxs[s] >= 0}
 
         self._version = state.ddg.version

@@ -32,9 +32,8 @@ from ..ir.basic_block import BasicBlock
 from ..ir.function import Function
 from ..ir.instruction import Instruction
 from ..ir.operand import Reg
-from ..machine.model import MachineModel
 from ..obs.metrics import NULL_METRICS
-from ..pdg.data_deps import DataDependenceGraph, DepKind
+from ..pdg.data_deps import DataDependenceGraph, DepKind, add_pair_edges
 
 
 class LiveOnExitTracker:
@@ -243,7 +242,6 @@ def try_rename_for_motion(
     live_tracker: LiveOnExitTracker,
     ddg: DataDependenceGraph,
     func: Function,
-    machine: MachineModel,
 ) -> bool:
     """Rename ``ins``'s conflicting definitions to unblock a speculative
     motion, if legal.  Returns True when ``ins`` no longer clobbers a
@@ -270,7 +268,7 @@ def try_rename_for_motion(
         if not _web_is_local(home, position, reg, live_tracker):
             return False
     for reg in conflicting:
-        _rename_web(ins, home, position, reg, func, ddg, machine)
+        _rename_web(ins, home, position, reg, func, ddg)
     return not any(r in live for r in ins.reg_defs())
 
 
@@ -286,8 +284,7 @@ def _web_is_local(home: BasicBlock, position: int, reg: Reg,
 
 
 def _rename_web(ins: Instruction, home: BasicBlock, position: int, reg: Reg,
-                func: Function, ddg: DataDependenceGraph,
-                machine: MachineModel) -> None:
+                func: Function, ddg: DataDependenceGraph) -> None:
     """Give the local def-use web of ``reg`` rooted at ``ins`` a fresh name
     and drop the anti/output dependence edges the old name induced."""
     fresh = func.new_reg(reg.rclass)
@@ -301,34 +298,13 @@ def _rename_web(ins: Instruction, home: BasicBlock, position: int, reg: Reg,
             break
     # Anti/output edges into `ins` on the old name are now spurious; so are
     # output edges out of it.  Refresh those pairs from current operands.
-    # succs()/preds() are live views and _refresh_pair mutates the graph,
+    # succs()/preds() are live views and the refresh mutates the graph,
     # so snapshot both before walking them.
     for edge in tuple(ddg.preds(ins)):
         if edge.kind in (DepKind.ANTI, DepKind.OUTPUT):
-            _refresh_pair(ddg, edge.src, ins, machine)
+            ddg.remove_edge(edge)
+            add_pair_edges(ddg, edge.src, ins)
     for edge in tuple(ddg.succs(ins)):
         if edge.kind is DepKind.OUTPUT:
-            _refresh_pair(ddg, ins, edge.dst, machine)
-
-
-def _refresh_pair(ddg: DataDependenceGraph, src: Instruction,
-                  dst: Instruction, machine: MachineModel) -> None:
-    """Recompute the (single, strongest) dependence edge src -> dst from the
-    instructions' current operands, conservatively for memory."""
-    existing = ddg.edge(src, dst)
-    if existing is not None:
-        ddg.remove_edge(existing)
-    src_defs = set(src.reg_defs())
-    src_uses = set(src.reg_uses())
-    for reg in dst.reg_uses():
-        if reg in src_defs:
-            ddg.add_edge(src, dst, DepKind.FLOW,
-                         machine.flow_delay(src, dst, reg), reg)
-    for reg in dst.reg_defs():
-        if reg in src_uses:
-            ddg.add_edge(src, dst, DepKind.ANTI, 0, reg)
-        if reg in src_defs:
-            ddg.add_edge(src, dst, DepKind.OUTPUT, 0, reg)
-    if (src.touches_memory and dst.touches_memory
-            and (src.writes_memory or dst.writes_memory)):
-        ddg.add_edge(src, dst, DepKind.MEM, 0)
+            ddg.remove_edge(edge)
+            add_pair_edges(ddg, ins, edge.dst)

@@ -323,7 +323,12 @@ class JobPool:
         blocks acquiring that lock to flush the queue) -- so the kill
         path never calls terminate: it disarms the pool's exit
         finalizer, stops the worker-respawn thread, kills and reaps the
-        processes, and abandons the daemonic handler threads."""
+        processes, and abandons the daemonic handler threads.  The
+        respawn thread is joined *before* the kill: one caught
+        mid-respawn (a worker died just before) would otherwise add a
+        fresh worker after the kill loop, and that worker, blocked on a
+        queue lock a killed worker still holds, never exits to be
+        reaped."""
         if self._closed:
             return
         self._closed = True
@@ -334,6 +339,8 @@ class JobPool:
 
             self._pool._terminate.cancel()
             self._pool._worker_handler._state = TERMINATE
+            self._pool._change_notifier.put(None)   # wake it to see that
+            self._pool._worker_handler.join()
             for proc in self._pool._pool:
                 if proc.exitcode is None:
                     try:

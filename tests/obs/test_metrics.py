@@ -142,19 +142,16 @@ def test_format_stats_without_metrics_only_tables():
 def test_format_stats_soa_core_block():
     m = MetricsCollector()
     m.inc("sched.soa.packed_keys", 43)
-    m.inc("sched.soa.dense_bytes", 760)
     m.inc("sched.soa.mask_queries", 10)
     m.inc("sched.soa.mask_updates", 7)
-    m.observe("sched.soa.intern_ms", 0.5)
-    m.observe("sched.soa.intern_ms", 0.1)
     text = format_stats("demo.c", "rs6k", "speculative", [("f", _Report())],
                         m)
     assert "struct-of-arrays core" in text
     assert "priority keys packed to ints" in text
-    assert "dense-table bytes interned" in text
     assert "liveness queries from bitmask" in text
-    assert "interning passes" in text
-    assert "0.60 ms total, max 0.50 ms" in text
+    assert "liveness bitmask updates" in text
+    assert "dense-table bytes" not in text
+    assert "interning passes" not in text
     # the block is omitted entirely when the SoA engine never ran
     assert "struct-of-arrays" not in format_stats(
         "demo.c", "rs6k", "speculative", [("f", _Report())],

@@ -200,6 +200,23 @@ a:
         direct = ddg.edge(cmp_i, bt_i)
         assert direct is not None and direct.delay == 3
 
+    def test_rejects_edge_against_build_order(self):
+        # index order is the reduction's topological order: an edge from
+        # a later instruction to an earlier one (acyclic or not) is refused
+        func = parse_function("""
+function back
+a:
+    LR r3=r1
+    LR r4=r2
+    BT a,cr0,0x1/lt
+""")
+        machine = rs6k()
+        ddg = build_block_ddg(func.block("a"), machine, reduce=False)
+        first, second, _ = func.block("a").instrs
+        ddg.add_edge(second, first, DepKind.ANTI, 0)
+        with pytest.raises(ValueError, match="build order"):
+            transitive_reduce(ddg, machine)
+
     def test_removes_zero_delay_transitive(self, figure2, pdg):
         ins = by_uid(figure2)
         # I1 -> I5 (flow r12) survives, but I1 -> I3 (covered via I2) died

@@ -191,3 +191,41 @@ int f(int a[], int n) {
                                config=config)
             run = result["f"].run(list(data), 30)
             assert run.return_value == expected
+
+
+#: (generator seed, machine, verifier accepts) for programs whose
+#: duplicated copy lands in a join predecessor that is empty and was
+#: already visited: the copy was never marked fulfilled and the join's
+#: block pass stalled.  The schedule verifier rejects the seed-9 schedules
+#: although they are correct: a duplicated original whose dependence
+#: source sits in the other arm (where its copy went) reads as "broken
+#: across blocks".
+EMPTY_VISITED_PRED_CASES = [(109, "rs6k", True), (9, "rs6k", False),
+                            (9, "ss4", False), (9, "clus2x2", False),
+                            (9, "xdp", False), (38, "xdp", True)]
+
+
+@pytest.mark.parametrize("seed,machine_name,verifiable",
+                         EMPTY_VISITED_PRED_CASES)
+def test_copy_into_visited_empty_predecessor_does_not_stall(
+        seed, machine_name, verifiable):
+    from repro.machine.configs import CONFIGS
+    from repro.verify.generator import generate_program
+
+    program = generate_program(seed)
+    expected = compile_c(
+        program.source, machine=CONFIGS[machine_name](),
+        level=ScheduleLevel.NONE,
+    )[program.entry].run(*program.entry_args).return_value
+    config = PipelineConfig(level=ScheduleLevel.SPECULATIVE,
+                            allow_duplication=True, verify=verifiable)
+    result = compile_c(program.source, machine=CONFIGS[machine_name](),
+                       level=ScheduleLevel.SPECULATIVE, config=config)
+    assert any(motion.duplicated
+               for sweep in (result[program.entry].report.first_pass,
+                             result[program.entry].report.second_pass)
+               if sweep is not None
+               for region in sweep.regions
+               for motion in region.motions)
+    assert (result[program.entry].run(*program.entry_args).return_value
+            == expected)

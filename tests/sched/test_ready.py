@@ -157,9 +157,11 @@ def test_mutation_without_version_bump_serves_stale_answers():
     assert state.deps_satisfied(load)
     assert not state.deps_satisfied(ai)      # caches warmed
     # sneak an edge in behind the graph's back: no version bump
-    rogue = DepEdge(cmp_i, load, DepKind.ANTI, 0, None)
-    state.ddg._preds[id(load)].append(rogue)
-    state.ddg._succs[id(cmp_i)].append(rogue)
+    ddg = state.ddg
+    i, j = ddg.index[id(cmp_i)], ddg.index[id(load)]
+    rogue = DepEdge(cmp_i, load, DepKind.ANTI, 0, None, i, j, 0)
+    ddg.pred[j].append(rogue)
+    ddg.succ[i].append(rogue)
     assert state.deps_satisfied(load)        # stale: rogue edge invisible
     # any honest mutation resyncs and the rogue edge takes effect
     state.ddg.add_edge(ai, bt, DepKind.ANTI, 0)

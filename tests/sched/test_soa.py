@@ -1,11 +1,12 @@
-"""Property tests for the struct-of-arrays lowering (interner + snapshot).
+"""Property tests for the indexed dependence graph and key packing.
 
-The SoA scheduler core trusts two lowering steps completely: the dense
-interning of instructions to array indices (``DenseDDG.index``) and the
-CSR flattening of the dependence adjacency with precomputed edge weights.
-These properties pin them against the object graph on randomized real
-regions (the differential fuzzer's program generator, compiled to IR),
-plus the cache-invalidation contract (``DDG.version`` bumps) and the
+The SoA scheduler core walks the region DDG's own per-index edge lists
+and trusts them completely: the append-only instruction index
+(``DataDependenceGraph.index``), ``pred`` as the exact transpose of
+``succ``, and the machine weight stored on every edge.  These properties
+pin them on randomized real regions (the differential fuzzer's program
+generator, compiled to IR), again after the scheduler's renames and
+Definition 6 duplications have mutated the graphs, plus the
 order-preservation and key contract of :func:`pack_rows`.
 """
 
@@ -13,13 +14,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import repro.pdg.pdg as region_pdg_module
 from repro.compiler import compile_c
 from repro.machine.configs import CONFIGS
 from repro.pdg.data_deps import DepKind, build_block_ddg
 from repro.sched.candidates import ScheduleLevel
 from repro.sched.regions import build_region_pdg, find_regions
-from repro.sched.soa import pack_rows
+from repro.sched.soa import DenseDependenceState, pack_rows
 from repro.verify.generator import generate_program
+from repro.xform.pipeline import PipelineConfig
 
 #: a loop with a diamond: speculative and useful candidates both exist
 MINMAX_LOOP = (
@@ -32,65 +35,97 @@ MINMAX_LOOP = (
 
 
 def region_ddgs(seed):
-    """``(machine, ddg)`` for every region of a generated program."""
+    """The DDG of every region of a generated program, as built."""
     machine = CONFIGS["rs6k"]()
     program = generate_program(seed)
     units = compile_c(program.source, machine=machine,
                       level=ScheduleLevel.NONE)
-    out = []
-    for unit in units.units.values():
-        for spec in find_regions(unit.func):
-            pdg = build_region_pdg(unit.func, machine, spec)
-            out.append((machine, pdg.ddg))
-    return out
+    return [build_region_pdg(unit.func, machine, spec).ddg
+            for unit in units.units.values()
+            for spec in find_regions(unit.func)]
 
 
-def expected_weight(machine, edge):
-    return (machine.exec_time(edge.src) + edge.delay
-            if edge.kind is DepKind.FLOW else 0)
+def assert_interning(ddg):
+    instrs = ddg.instructions
+    n = len(instrs)
+    assert len(ddg.index) == len(ddg.succ) == len(ddg.pred) == n
+    for i, ins in enumerate(instrs):
+        # id -> index -> instruction is the identity both ways
+        assert ddg.index[id(ins)] == i
+    # uids are unique region-wide, so uid round-trips through the index
+    # too (the packed priority rows rely on this)
+    assert len({ins.uid for ins in instrs}) == n
+
+
+def assert_adjacency(ddg):
+    machine = ddg.machine
+    instrs = ddg.instructions
+    out_edges = {}
+    for i, edges in enumerate(ddg.succ):
+        for edge in edges:
+            assert edge.src_idx == i and edge.src is instrs[i]
+            assert edge.dst is instrs[edge.dst_idx]
+            out_edges[id(edge)] = edge
+    # pred is exactly the transpose of succ: the same edge objects, each
+    # listed once on each side, under its destination index
+    in_count = 0
+    for j, edges in enumerate(ddg.pred):
+        for edge in edges:
+            assert out_edges.get(id(edge)) is edge and edge.dst_idx == j
+            in_count += 1
+    assert in_count == len(out_edges) == ddg.edge_count()
+    assert set(out_edges) == {id(edge) for edge in ddg.iter_edges()}
+    for edge in out_edges.values():
+        assert edge.weight == (machine.exec_time(edge.src) + edge.delay
+                               if edge.kind is DepKind.FLOW else 0)
 
 
 @settings(max_examples=25, deadline=None)
 @given(st.integers(min_value=0, max_value=10_000))
 def test_interning_round_trips_uid_and_index(seed):
-    for machine, ddg in region_ddgs(seed):
-        dense = ddg.to_dense(machine)
-        assert dense.n == len(ddg.instructions) == len(dense.instrs)
-        for i, ins in enumerate(dense.instrs):
-            # id -> index -> instruction is the identity both ways
-            assert dense.index[id(ins)] == i
-            assert dense.instrs[dense.index[id(ins)]] is ins
-        assert len(dense.index) == dense.n  # bijection: no id collisions
-        # uids are unique region-wide, so uid round-trips through the
-        # interning too (the packed priority rows rely on this)
-        uids = {ins.uid for ins in dense.instrs}
-        assert len(uids) == dense.n
+    for ddg in region_ddgs(seed):
+        assert_interning(ddg)
 
 
 @settings(max_examples=25, deadline=None)
 @given(st.integers(min_value=0, max_value=10_000))
 def test_csr_adjacency_equals_object_graph(seed):
-    for machine, ddg in region_ddgs(seed):
-        dense = ddg.to_dense(machine)
-        for i, ins in enumerate(dense.instrs):
-            succs = sorted(
-                (dense.succ_idx[k], dense.succ_w[k])
-                for k in range(dense.succ_off[i], dense.succ_off[i + 1]))
-            expect = sorted(
-                (dense.index[id(e.dst)], expected_weight(machine, e))
-                for e in ddg.succs(ins))
-            assert succs == expect
-            preds = sorted(
-                (dense.pred_idx[k], dense.pred_w[k])
-                for k in range(dense.pred_off[i], dense.pred_off[i + 1]))
-            expect = sorted(
-                (dense.index[id(e.src)], expected_weight(machine, e))
-                for e in ddg.preds(ins))
-            assert preds == expect
-        assert len(dense.succ_idx) == len(dense.pred_idx) == ddg.edge_count()
+    """The per-index ``succ``/``pred`` lists the scheduler walks agree
+    with the graph's own edge set, with machine weights on every edge."""
+    for ddg in region_ddgs(seed):
+        assert_adjacency(ddg)
 
 
-def test_version_bump_invalidates_snapshot_and_keeps_indices_stable():
+def test_invariants_survive_renames_and_duplications(monkeypatch):
+    """Renames (Section 4.2) and duplicated copies (Definition 6) mutate
+    the region graphs while they are scheduled; the invariants hold
+    afterwards, and the corpus exercises both mutations."""
+    built = []
+    real = region_pdg_module.build_region_ddg
+
+    def recording(*args, **kwargs):
+        ddg = real(*args, **kwargs)
+        built.append((ddg, ddg.version, len(ddg.instructions)))
+        return ddg
+
+    monkeypatch.setattr(region_pdg_module, "build_region_ddg", recording)
+    config = PipelineConfig(level=ScheduleLevel.SPECULATIVE,
+                            allow_duplication=True)
+    for seed in range(12):
+        compile_c(generate_program(seed).source, machine=CONFIGS["rs6k"](),
+                  level=ScheduleLevel.SPECULATIVE, config=config)
+    grown = renamed = 0
+    for ddg, version, n in built:
+        assert_interning(ddg)
+        assert_adjacency(ddg)
+        if len(ddg.instructions) > n:
+            grown += 1           # a duplicated copy was appended
+        elif ddg.version > version:
+            renamed += 1         # edges refreshed without new instructions
+    assert grown and renamed
+
+
+def test_to_dense_accepts_only_the_graphs_machine():
     from repro.ir.parser import parse_function
 
     func = parse_function("""
@@ -103,23 +138,13 @@ a:
 """)
     machine = CONFIGS["rs6k"]()
     ddg = build_block_ddg(func.block("a"), machine)
-    first = ddg.to_dense(machine)
-    assert ddg.to_dense(machine) is first       # cached while version holds
-
-    load, ai, cmp_i, bt = func.block("a").instrs
-    ddg.add_edge(load, cmp_i, DepKind.ANTI, 0)  # bumps ddg.version
-    second = ddg.to_dense(machine)
-    assert second is not first
-    assert second.version == ddg.version > first.version
-    # the instruction list is append-only: indices survive the rebuild
-    for ins in func.block("a").instrs:
-        assert second.index[id(ins)] == first.index[id(ins)]
-    # ... and the new edge is visible in the rebuilt CSR
-    i, j = second.index[id(load)], second.index[id(cmp_i)]
-    assert j in second.succ_idx[second.succ_off[i]:second.succ_off[i + 1]]
-
+    assert ddg.to_dense(machine) is ddg
+    assert ddg.to_dense(CONFIGS["rs6k"]()) is ddg   # an equal machine
     other = CONFIGS["ss4"]()
-    assert ddg.to_dense(other) is not second    # keyed on machine identity
+    with pytest.raises(ValueError, match="ss4"):
+        ddg.to_dense(other)
+    with pytest.raises(ValueError):
+        DenseDependenceState(ddg, other)
 
 
 @settings(max_examples=200, deadline=None)

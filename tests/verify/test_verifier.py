@@ -170,7 +170,7 @@ def test_mutated_dependence_rule_is_caught(monkeypatch):
     from repro.sched import bb_sched
 
     monkeypatch.setattr(bb_sched, "_initial_blocked",
-                        lambda dense: [0] * dense.n)
+                        lambda ddg: [0] * len(ddg.instructions))
     with pytest.raises(ScheduleVerificationError) as exc:
         compile_c(CHAIN, level=ScheduleLevel.SPECULATIVE,
                   config=verified_config(ScheduleLevel.SPECULATIVE))
