@@ -77,6 +77,7 @@ import json
 import sys
 
 from .compiler import compile_c
+from .lang import FRONT_END_ERRORS
 from .machine.configs import CONFIGS
 from .sched.candidates import ScheduleLevel
 from .xform.pipeline import PipelineConfig
@@ -177,8 +178,12 @@ def _compile(path: str, level: str, machine: str, **config_kwargs):
     factory = _machine_factory(machine)
     source = _read_source(path)
     config = PipelineConfig(level=_LEVELS[level], **config_kwargs)
-    return compile_c(source, machine=factory(),
-                     level=_LEVELS[level], config=config)
+    try:
+        return compile_c(source, machine=factory(),
+                         level=_LEVELS[level], config=config)
+    except FRONT_END_ERRORS as exc:
+        # lexer and parser messages already start with "line N: "
+        raise CLIError(f"error: {path}: {exc}") from exc
 
 
 def cmd_compile(args) -> int:

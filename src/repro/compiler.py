@@ -87,18 +87,11 @@ class CompiledUnit:
         """The Figure-2-style listing of the (scheduled) function."""
         return format_function(self.func)
 
-    def run(
-        self,
-        *args,
-        call_handlers: dict[str, CallHandler] | None = None,
-        max_steps: int = 1_000_000,
-        sim_config: SimConfig | None = None,
-    ) -> RunResult:
-        """Execute with positional arguments and time the trace.
-
-        Scalar parameters take ints; array parameters take lists of ints
-        (placed in simulated memory; final contents are returned).
-        """
+    def initial_state(
+        self, *args,
+    ) -> tuple[dict[Reg, int], dict[int, int], list[tuple[int, int]]]:
+        """The registers and memory a run with positional ``args`` starts
+        from, plus the ``(base, length)`` of each array argument."""
         params = self.compiled.params
         if len(args) != len(params):
             raise TypeError(
@@ -106,7 +99,7 @@ class CompiledUnit:
             )
         regs: dict[Reg, int] = {}
         memory: dict[int, int] = {}
-        array_bases: list[tuple[int, int]] = []  # (base, length)
+        array_bases: list[tuple[int, int]] = []
         next_base = _ARRAY_BASE
         for param, value in zip(params, args):
             reg = self.compiled.param_regs[param.name]
@@ -129,21 +122,28 @@ class CompiledUnit:
                         f"be an int, got {type(value).__name__}"
                     )
                 regs[reg] = value
+        return regs, memory, array_bases
 
+    def run(
+        self,
+        *args,
+        call_handlers: dict[str, CallHandler] | None = None,
+        max_steps: int = 1_000_000,
+        sim_config: SimConfig | None = None,
+    ) -> RunResult:
+        """Execute with positional arguments and time the trace.
+
+        Scalar parameters take ints; array parameters take lists of ints
+        (placed in simulated memory; final contents are returned).
+        """
+        regs, memory, array_bases = self.initial_state(*args)
         execution = Executor(
             self.func, regs=regs, memory=memory,
             call_handlers=call_handlers, max_steps=max_steps,
         ).run()
-        sim = TraceSimulator(self.machine, sim_config,
-                             addresses=layout_addresses(self.func))
-        issue_cycles = [sim.issue(ins) for ins in execution.instr_trace]
-        timing = SimulationResult(
-            cycles=(max(issue_cycles) + 1) if issue_cycles else 0,
-            instructions=len(issue_cycles),
-            issue_cycles=issue_cycles,
-            icache_misses=sim.icache_misses,
-            buffer_drains=sim.buffer_drains,
-        )
+        timing = TraceSimulator(
+            self.machine, sim_config, addresses=layout_addresses(self.func),
+        ).run_trace(execution.instr_trace)
         arrays = [
             [execution.memory.get(base + 4 * i, 0) for i in range(length)]
             for base, length in array_bases

@@ -11,9 +11,14 @@ from .lower import (
 )
 from .parser import CParseError, parse_c
 
+#: every error the front end raises for bad mini-C input; each message
+#: names the offending line, except lowering's (the AST has no lines)
+FRONT_END_ERRORS = (LexError, CParseError, LowerError)
+
 __all__ = [
     "CParseError",
     "CompiledFunction",
+    "FRONT_END_ERRORS",
     "LexError",
     "LowerError",
     "Token",

@@ -21,6 +21,10 @@ _MULTI = [
     "+=", "-=", "*=", "/=", "%=", "&=", "|=", "^=", "++", "--",
 ]
 _SINGLE = set("+-*/%&|^~!<>=(){}[];,")
+#: ASCII only: str.isdigit() also accepts digits such as "\u00b2" that
+#: int() rejects
+_DIGITS = "0123456789"
+_HEX_DIGITS = "0123456789abcdefABCDEF"
 
 
 class LexError(ValueError):
@@ -64,16 +68,24 @@ def tokenize(source: str) -> list[Token]:
             line += source.count("\n", i, end)
             i = end + 2
             continue
-        if ch.isdigit():
+        if ch in _DIGITS:
             j = i
             if source.startswith("0x", i) or source.startswith("0X", i):
                 j = i + 2
-                while j < n and source[j] in "0123456789abcdefABCDEF":
+                while j < n and source[j] in _HEX_DIGITS:
                     j += 1
             else:
-                while j < n and source[j].isdigit():
+                while j < n and source[j] in _DIGITS:
                     j += 1
-            tokens.append(Token("num", source[i:j], line))
+            text = source[i:j]
+            # the parser reads every literal with int(text, 0), which
+            # rejects "09" and a bare "0x"
+            try:
+                int(text, 0)
+            except ValueError:
+                raise LexError(
+                    line, f"malformed number literal {text!r}") from None
+            tokens.append(Token("num", text, line))
             i = j
             continue
         if ch.isalpha() or ch == "_":
@@ -92,6 +104,7 @@ def tokenize(source: str) -> list[Token]:
             if j >= n:
                 raise LexError(line, "unterminated string literal")
             tokens.append(Token("str", source[i + 1:j], line))
+            line += source.count("\n", i, j)
             i = j + 1
             continue
         matched = False

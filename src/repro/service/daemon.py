@@ -26,7 +26,7 @@ carries a status:
 * ``overloaded`` -- admission control is above high water and the
   daemon fast-failed the request instead of queueing it;
 * ``error``      -- a malformed/oversized/unknown-field request or a
-  typed front-end error (parse/lowering), reported without retry.
+  typed front-end error (lex/parse/lowering), reported without retry.
 
 Responses always come back **in request order**, and -- because every
 status above is decided by batch position, never by completion order --
@@ -68,6 +68,7 @@ import threading
 import time
 from dataclasses import dataclass, fields as dataclass_fields
 
+from ..lang import FRONT_END_ERRORS
 from ..machine.configs import CONFIGS
 from ..obs.events import AdmissionEvent
 from ..obs.metrics import MetricsCollector
@@ -278,7 +279,7 @@ class Daemon:
                     jobs=self.config.jobs,
                     queue_size=self.config.queue_size,
                     timeout_s=self.config.timeout_s,
-                    typed_errors=worker.TYPED_ERRORS,
+                    typed_errors=FRONT_END_ERRORS,
                     metrics=self.metrics,
                     tracer=self.tracer,
                     supervisor=SupervisorConfig(
@@ -292,7 +293,7 @@ class Daemon:
                     jobs=self.config.jobs,
                     queue_size=self.config.queue_size,
                     timeout_s=self.config.timeout_s,
-                    typed_errors=worker.TYPED_ERRORS,
+                    typed_errors=FRONT_END_ERRORS,
                     metrics=self.metrics,
                 )
         return self._pool

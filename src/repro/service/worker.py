@@ -3,7 +3,7 @@
 One module-level function (:func:`compile_request`) so the pool can
 pickle it by reference; it turns a validated request payload into an
 :class:`~repro.service.cache.Artifact` dict.  Front-end errors
-(:class:`~repro.lang.CParseError`, :class:`~repro.lang.LowerError`) are
+(:data:`~repro.lang.FRONT_END_ERRORS`: lexing, parsing, lowering) are
 the pool's *typed errors* -- reported once, never retried, never
 quarantined -- while anything else (a genuine compiler bug, a hang) goes
 through the retry-then-quarantine ladder.
@@ -16,16 +16,12 @@ import json
 import time
 
 from ..compiler import compile_c
-from ..lang import CParseError, LowerError
 from ..machine.configs import CONFIGS
 from ..obs.metrics import MetricsCollector
 from ..obs.tracer import CollectingTracer
 from ..resilience.ladder import ResilienceConfig, start_rung, worst_rung
 from ..sched.candidates import ScheduleLevel
 from ..xform.pipeline import PipelineConfig
-
-#: exception types the job layer treats as expected, typed errors
-TYPED_ERRORS = (CParseError, LowerError)
 
 #: trace-event fields carrying wall-clock time -- stripped so an
 #: artifact (and therefore a cache hit) is byte-stable across recompiles

@@ -21,11 +21,15 @@ take 12-13 / 11-12:
 Timing only: the simulator consumes a block trace recorded by the
 functional executor (or built by hand), so values never need to be
 recomputed here.
+
+Each static instruction is decoded once per simulator into a record of
+register slots, latencies and unit facts, so the per-issue loop reads
+ints from lists instead of asking the machine model again; see
+:class:`TraceSimulator`.
 """
 
 from __future__ import annotations
 
-from collections import defaultdict
 from dataclasses import dataclass, field
 
 from ..ir.basic_block import BasicBlock
@@ -104,213 +108,274 @@ class SimulationResult:
 
 
 class TraceSimulator:
-    """Streaming in-order multi-issue simulator."""
+    """Streaming in-order multi-issue simulator.
+
+    Each static instruction is decoded once per simulator into a record
+    (see :meth:`_decode`), and registers become dense slots into one
+    ready-cycle list.  Issue is in order, so no instruction ever issues
+    before the previous one: the only cycle whose slots can still be
+    taken is the current one, ``_last_issue``, and its occupancy is one
+    flat int list -- per unit type, the total, and on clustered machines
+    per cluster and per (cluster, unit) -- zeroed whenever the cycle
+    advances.  Clustered machines, result buffers, the instruction cache
+    and ``branch_folding=False`` all run through the one loop,
+    :meth:`_issue`.
+    """
 
     def __init__(self, machine: MachineModel, config: SimConfig | None = None,
                  *, addresses: dict[int, int] | None = None):
         self.machine = machine
         self.config = config or SimConfig()
-        self._reg_ready: dict[Reg, int] = {}
-        self._unit_used: dict[tuple[UnitType, int], int] = defaultdict(int)
-        self._total_used: dict[int, int] = defaultdict(int)
         self._last_issue = 0
         self._issue_cycles: list[int] = []
         #: id(instruction) -> static byte address, for the icache model
         self._addresses = addresses or {}
         self._icache_tags: dict[int, int] = {}
         self.icache_misses = 0
-        #: clustered machines: per-(cluster, cycle) and per-(cluster,
-        #: unit, cycle) issue counts
-        self._clusters = machine.clusters
-        self._cluster_used: dict[tuple[int, int], int] = defaultdict(int)
-        self._cluster_unit_used: dict[tuple[int, UnitType, int], int] = (
-            defaultdict(int))
-        #: exposed-datapath machines: which register currently occupies a
-        #: result buffer, and each unit's resident (register, produced
+        self.buffer_drains = 0
+        #: static instruction -> decoded record
+        self._decoded: dict[Instruction, tuple] = {}
+        #: register -> slot, and per slot the cycle its value is ready
+        self._slots: dict[Reg, int] = {}
+        self._ready: list[int] = []
+        self._unit_index = {unit: i for i, unit in enumerate(UnitType)}
+        units = len(self._unit_index)
+        self._total_at = units
+        self._width = machine.total_issue_width
+        #: per unit index, the (cluster total index, cluster width,
+        #: cluster-unit index, cluster-unit count) of every cluster owning
+        #: that unit, lowest cluster first; None on unclustered machines
+        self._cluster_choices: list[tuple] | None = None
+        counters = units + 1
+        if machine.clusters is not None:
+            n = len(machine.clusters)
+            self._cluster_choices = [
+                tuple((counters + ci, c.issue_width,
+                       counters + n + ci * units + u, c.unit_count(unit))
+                      for ci, c in enumerate(machine.clusters)
+                      if c.unit_count(unit) > 0)
+                for unit, u in self._unit_index.items()]
+            counters += n + n * units
+        self._zeros = [0] * counters
+        #: occupancy of the current cycle (``_last_issue``)
+        self._used = self._zeros[:]
+        #: exposed-datapath machines: which unit's buffer currently holds
+        #: a register slot, and each unit's resident (slot, produced
         #: cycle) entries oldest-first
         self._buffers = machine.buffers
-        self._buffered_reg: dict[Reg, UnitType] = {}
-        self._buffer_fifo: dict[UnitType, list[tuple[Reg, int]]] = (
-            defaultdict(list))
-        self.buffer_drains = 0
+        self._buffered_reg: dict[int, int] = {}
+        self._buffer_fifo: list[list[tuple[int, int]]] = [
+            [] for _ in range(units)]
+
+    # -- decoding --------------------------------------------------------
+
+    def _slot(self, reg: Reg) -> int:
+        slot = self._slots.get(reg)
+        if slot is None:
+            slot = self._slots[reg] = len(self._ready)
+            self._ready.append(0)
+        return slot
+
+    def _decode(self, ins: Instruction) -> tuple:
+        """The static facts one issue of ``ins`` needs: use slots,
+        ``(def slot, result latency)`` pairs, unit index and count, and
+        -- None unless one applies -- the rare ones: whether the branch
+        unit folds it, its icache line and tag (None with no cache model
+        or no address), and its result-buffer capacity (None when
+        unbuffered)."""
+        machine, config, slot = self.machine, self.config, self._slot
+        uses = tuple(slot(reg) for reg in ins.reg_uses())
+        defs = tuple((slot(reg), machine.result_latency(ins, reg))
+                     for reg in ins.reg_defs())
+        unit = ins.unit
+        folded = config.branch_folding and ins.opcode is Opcode.B
+        line = tag = None
+        cache = config.icache
+        addr = self._addresses.get(id(ins)) if cache is not None else None
+        if addr is not None:
+            line = (addr // cache.line) % cache.lines
+            tag = addr // (cache.line * cache.lines)
+        buffer_cap = (self._buffers.capacity(unit)
+                      if self._buffers is not None else None)
+        capacity = machine.unit_count(unit)
+        rare = None
+        if folded or line is not None or buffer_cap is not None \
+                or capacity <= 0:
+            rare = (folded, line, tag, buffer_cap)
+        record = (uses, defs, self._unit_index[unit], capacity, rare)
+        self._decoded[ins] = record
+        return record
 
     # -- core ------------------------------------------------------------
 
     def issue(self, ins: Instruction) -> int:
         """Issue one instruction; returns its issue cycle."""
-        machine = self.machine
-        earliest = self._last_issue
-        for reg in ins.reg_uses():
-            earliest = max(earliest, self._reg_ready.get(reg, 0))
-        earliest += self._fetch_penalty(ins)
+        self._issue((ins,))
+        return self._issue_cycles[-1]
 
-        if self.config.branch_folding and ins.opcode is Opcode.B:
-            # Folded: occupies no slot, but later instructions still may
-            # not issue before it (program order).
-            self._last_issue = earliest
-            self._issue_cycles.append(earliest)
-            return earliest
-
-        drains = self._buffer_overflow(ins, earliest)
-        if drains:
-            self.buffer_drains += drains
-            earliest += drains * self._buffers.drain_penalty
-
-        unit = ins.unit
-        capacity = machine.unit_count(unit)
-        if capacity <= 0:
-            raise ValueError(
-                f"machine {machine.name!r} has no {unit.name} unit for {ins!r}"
-            )
-        cycle, cluster = self._find_slot(unit, capacity, earliest)
-        self._unit_used[(unit, cycle)] += 1
-        self._total_used[cycle] += 1
-        if cluster is not None:
-            self._cluster_used[(cluster, cycle)] += 1
-            self._cluster_unit_used[(cluster, unit, cycle)] += 1
-        self._last_issue = cycle
-        self._issue_cycles.append(cycle)
-        if self._buffers is not None:
-            self._buffer_update(ins, cycle)
-        for reg in ins.reg_defs():
-            self._reg_ready[reg] = cycle + machine.result_latency(ins, reg)
-        return cycle
-
-    def _find_slot(self, unit: UnitType, capacity: int,
-                   earliest: int) -> tuple[int, int | None]:
-        """First cycle >= ``earliest`` with a free slot (and, on clustered
-        machines, the index of the cluster issuing it)."""
-        width = self.machine.total_issue_width
-        cycle = earliest
-        while True:
-            if (self._unit_used[(unit, cycle)] < capacity
-                    and self._total_used[cycle] < width):
-                if self._clusters is None:
-                    return cycle, None
-                cluster = self._pick_cluster(unit, cycle)
-                if cluster is not None:
-                    return cycle, cluster
-            cycle += 1
-
-    def _pick_cluster(self, unit: UnitType, cycle: int) -> int | None:
-        """Lowest-index cluster with a free ``unit`` slot this cycle."""
-        for index, cluster in enumerate(self._clusters):
-            if (self._cluster_used[(index, cycle)] < cluster.issue_width
-                    and self._cluster_unit_used[(index, unit, cycle)]
-                    < cluster.unit_count(unit)):
-                return index
-        return None
-
-    # -- exposed-datapath result buffers ----------------------------------
-
-    def _buffer_overflow(self, ins: Instruction, now: int) -> int:
-        """Forced drains of still-hot results issuing ``ins`` at ``now``
-        would cause (0 = the results fit, or every eviction is of a stale
-        result the writeback port already retired for free)."""
-        buf = self._buffers
-        if buf is None:
-            return 0
-        defs = ins.reg_defs()
-        if not defs:
-            return 0
-        cap = buf.capacity(ins.unit)
-        if cap is None:
-            return 0
-        freed = set(ins.reg_uses()) | set(defs)
-        resident = [produced for reg, produced in self._buffer_fifo[ins.unit]
-                    if reg not in freed]
-        overflow = len(resident) + len(defs) - cap
-        if overflow <= 0:
-            return 0
-        # evictions happen oldest-first; only still-hot victims cost
-        return sum(1 for produced in resident[:overflow]
-                   if now - produced < buf.free_after)
-
-    def _buffer_update(self, ins: Instruction, cycle: int) -> None:
-        """Account buffer traffic of issuing ``ins``: its reads free the
-        producers' slots, its results claim slots (evicting oldest-first
-        on overflow -- any hot-drain penalty was already charged)."""
-        buf = self._buffers
-        for reg in ins.reg_uses():
-            self._release_buffer(reg)
-        defs = ins.reg_defs()
-        for reg in defs:
-            # a redefinition invalidates any still-buffered old value,
-            # whichever unit produced it
-            self._release_buffer(reg)
-        if not defs:
-            return
-        cap = buf.capacity(ins.unit)
-        if cap is None:
-            return
-        fifo = self._buffer_fifo[ins.unit]
-        while len(fifo) + len(defs) > cap:
-            del self._buffered_reg[fifo.pop(0)[0]]
-        for reg in defs:
-            fifo.append((reg, cycle))
-            self._buffered_reg[reg] = ins.unit
-
-    def _release_buffer(self, reg: Reg) -> None:
-        unit = self._buffered_reg.pop(reg, None)
-        if unit is not None:
-            fifo = self._buffer_fifo[unit]
-            for i, (resident, _produced) in enumerate(fifo):
-                if resident == reg:
-                    del fifo[i]
-                    break
-
-    def run_blocks(self, blocks: list[BasicBlock]) -> SimulationResult:
-        """Simulate the instruction stream of ``blocks`` in order."""
-        block_starts: list[int] = []
-        count = 0
-        for block in blocks:
-            block_starts.append(
-                self._peek_next_cycle(block.instrs[0]) if block.instrs
-                else self._last_issue
-            )
-            for ins in block.instrs:
-                self.issue(ins)
-                count += 1
-        last = max(self._issue_cycles, default=-1)
+    def run_trace(self, instrs: list[Instruction]) -> SimulationResult:
+        """Issue a dynamic instruction trace (the executor's
+        ``instr_trace``) in order and time it."""
+        first = len(self._issue_cycles)
+        self._issue(instrs)
+        issue_cycles = self._issue_cycles[first:]
         return SimulationResult(
-            cycles=last + 1,
-            instructions=count,
-            issue_cycles=list(self._issue_cycles),
-            block_starts=block_starts,
+            cycles=max(issue_cycles, default=-1) + 1,
+            instructions=len(issue_cycles),
+            issue_cycles=issue_cycles,
             icache_misses=self.icache_misses,
             buffer_drains=self.buffer_drains,
         )
 
-    def _fetch_penalty(self, ins: Instruction) -> int:
-        """Instruction-cache lookup: 0 on a hit or with no cache model."""
+    def _issue(self, instrs) -> None:
+        """Issue ``instrs`` in order, appending each issue cycle."""
+        decoded, decode = self._decoded, self._decode
+        ready = self._ready
+        append = self._issue_cycles.append
+        zeros, used = self._zeros, self._used
+        total_at, width = self._total_at, self._width
+        clusters = self._cluster_choices
+        tags = self._icache_tags
         cache = self.config.icache
-        if cache is None:
-            return 0
-        addr = self._addresses.get(id(ins))
-        if addr is None:
-            return 0
-        line_index = (addr // cache.line) % cache.lines
-        tag = addr // (cache.line * cache.lines)
-        if self._icache_tags.get(line_index) == tag:
-            return 0
-        self._icache_tags[line_index] = tag
-        self.icache_misses += 1
-        return cache.miss_penalty
+        penalty = cache.miss_penalty if cache is not None else 0
+        buffers = self._buffers
+        last = self._last_issue
+        misses = self.icache_misses
+        try:
+            for ins in instrs:
+                record = decoded.get(ins) or decode(ins)
+                uses, defs, u, capacity, rare = record
+                earliest = last
+                for slot in uses:
+                    if ready[slot] > earliest:
+                        earliest = ready[slot]
+                if rare is not None:
+                    folded, line, tag, buffer_cap = rare
+                    if line is not None and tags.get(line) != tag:
+                        tags[line] = tag
+                        misses += 1
+                        earliest += penalty
+                    if folded:
+                        # Folded: occupies no slot, but later instructions
+                        # still may not issue before it (program order).
+                        if earliest > last:
+                            last, used = earliest, zeros[:]
+                        append(earliest)
+                        continue
+                    if buffer_cap is not None and defs:
+                        drains = self._buffer_overflow(record, earliest)
+                        if drains:
+                            self.buffer_drains += drains
+                            earliest += drains * buffers.drain_penalty
+                    if capacity <= 0:
+                        raise ValueError(
+                            f"machine {self.machine.name!r} has no "
+                            f"{ins.unit.name} unit for {ins!r}")
+                if earliest > last:
+                    last, used = earliest, zeros[:]
+                # the current cycle, else the next one (which is empty)
+                if clusters is None:
+                    if used[u] >= capacity or used[total_at] >= width:
+                        last, used = last + 1, zeros[:]
+                else:
+                    pick = None
+                    if used[u] < capacity and used[total_at] < width:
+                        for choice in clusters[u]:
+                            if (used[choice[0]] < choice[1]
+                                    and used[choice[2]] < choice[3]):
+                                pick = choice
+                                break
+                    if pick is None:
+                        last, used = last + 1, zeros[:]
+                        pick = clusters[u][0]
+                    used[pick[0]] += 1
+                    used[pick[2]] += 1
+                used[u] += 1
+                used[total_at] += 1
+                append(last)
+                if buffers is not None:
+                    self._buffer_update(record, last)
+                for slot, latency in defs:
+                    ready[slot] = last + latency
+        finally:
+            self._last_issue, self._used = last, used
+            self.icache_misses = misses
 
-    def _peek_next_cycle(self, ins: Instruction) -> int:
-        """The cycle ``ins`` would issue at, without issuing it."""
-        earliest = self._last_issue
-        for reg in ins.reg_uses():
-            earliest = max(earliest, self._reg_ready.get(reg, 0))
-        if self.config.branch_folding and ins.opcode is Opcode.B:
-            return earliest
-        drains = self._buffer_overflow(ins, earliest)
-        if drains:
-            earliest += drains * self._buffers.drain_penalty
-        unit = ins.unit
-        capacity = max(self.machine.unit_count(unit), 1)
-        cycle, _cluster = self._find_slot(unit, capacity, earliest)
-        return cycle
+    # -- exposed-datapath result buffers ----------------------------------
+
+    def _buffer_overflow(self, record: tuple, now: int) -> int:
+        """Forced drains of still-hot results issuing ``record``'s
+        instruction at ``now`` would cause (0 = the results fit, or every
+        eviction is of a stale result the writeback port already retired
+        for free)."""
+        uses, defs, u, _capacity, rare = record
+        cap = rare[3]
+        freed = set(uses) | {slot for slot, _latency in defs}
+        resident = [produced for slot, produced in self._buffer_fifo[u]
+                    if slot not in freed]
+        overflow = len(resident) + len(defs) - cap
+        if overflow <= 0:
+            return 0
+        # evictions happen oldest-first; only still-hot victims cost
+        free_after = self._buffers.free_after
+        return sum(1 for produced in resident[:overflow]
+                   if now - produced < free_after)
+
+    def _buffer_update(self, record: tuple, cycle: int) -> None:
+        """Account buffer traffic of issuing ``record``'s instruction:
+        its reads free the producers' slots, its results claim slots
+        (evicting oldest-first on overflow -- any hot-drain penalty was
+        already charged)."""
+        uses, defs, u, _capacity, rare = record
+        for slot in uses:
+            self._release_buffer(slot)
+        for slot, _latency in defs:
+            # a redefinition invalidates any still-buffered old value,
+            # whichever unit produced it
+            self._release_buffer(slot)
+        cap = rare[3] if rare is not None else None
+        if not defs or cap is None:
+            return
+        fifo = self._buffer_fifo[u]
+        while len(fifo) + len(defs) > cap:
+            del self._buffered_reg[fifo.pop(0)[0]]
+        for slot, _latency in defs:
+            fifo.append((slot, cycle))
+            self._buffered_reg[slot] = u
+
+    def _release_buffer(self, slot: int) -> None:
+        u = self._buffered_reg.pop(slot, None)
+        if u is not None:
+            fifo = self._buffer_fifo[u]
+            for i, (resident, _produced) in enumerate(fifo):
+                if resident == slot:
+                    del fifo[i]
+                    break
+
+    def run_blocks(self, blocks: list[BasicBlock]) -> SimulationResult:
+        """Simulate the instruction stream of ``blocks`` in order.
+
+        A block's start is the issue cycle of its first instruction; an
+        empty block starts where the previous instruction issued."""
+        issued = self._issue_cycles
+        block_starts: list[int] = []
+        count = 0
+        for block in blocks:
+            if block.instrs:
+                first = len(issued)
+                self._issue(block.instrs)
+                block_starts.append(issued[first])
+                count += len(block.instrs)
+            else:
+                block_starts.append(self._last_issue)
+        return SimulationResult(
+            cycles=max(issued, default=-1) + 1,
+            instructions=count,
+            issue_cycles=list(issued),
+            block_starts=block_starts,
+            icache_misses=self.icache_misses,
+            buffer_drains=self.buffer_drains,
+        )
 
 
 def simulate_trace(
@@ -368,13 +433,4 @@ def simulate_execution(
         max_steps=max_steps,
     ).run()
     sim = TraceSimulator(machine, config, addresses=layout_addresses(func))
-    issue_cycles = [sim.issue(ins) for ins in result.instr_trace]
-    last = max(issue_cycles, default=-1)
-    timing = SimulationResult(
-        cycles=last + 1,
-        instructions=len(result.instr_trace),
-        issue_cycles=issue_cycles,
-        icache_misses=sim.icache_misses,
-        buffer_drains=sim.buffer_drains,
-    )
-    return result, timing
+    return result, sim.run_trace(result.instr_trace)

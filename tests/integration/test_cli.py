@@ -240,6 +240,36 @@ class TestMalformedIR:
         assert "'function <name>'" in err
 
 
+class TestMalformedMiniC:
+    """Front-end errors (lexer, parser, lowering) are one located stderr
+    line with exit 2, never a traceback, on every compiling command."""
+
+    COMMANDS = [
+        ["compile", "{path}"],
+        ["run", "{path}", "f", "1"],
+        ["stats", "{path}"],
+        ["dot", "{path}"],
+        ["verify", "{path}"],
+    ]
+
+    @pytest.mark.parametrize("argv", COMMANDS, ids=lambda a: a[0])
+    @pytest.mark.parametrize("body,message", [
+        ("return x + $;", "line 3: unexpected character '$'"),
+        ("return x + 09;", "line 3: malformed number literal '09'"),
+        ("return x + ;", "line 3: expected an expression"),
+        ("return y;", "use of undeclared variable 'y'"),
+    ], ids=["lex", "literal", "parse", "lower"])
+    def test_front_end_error_is_one_line(self, argv, body, message,
+                                         tmp_path, capsys):
+        path = tmp_path / "bad.c"
+        path.write_text(f"\nint f(int x) {{\n    {body}\n}}\n")
+        assert main([a.format(path=path) for a in argv]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {path}: {message}")
+        assert len(err.strip().splitlines()) == 1
+        assert "Traceback" not in err
+
+
 class TestBadCheckpointResume:
     """Satellite fix: ``fuzz --resume`` on a damaged checkpoint is a
     one-line stderr error with exit 2, never a traceback."""

@@ -58,3 +58,31 @@ def test_bad_character():
 
 def test_eof_token():
     assert tokenize("")[-1].kind == "eof"
+
+
+@pytest.mark.parametrize("text", ["09", "0x", "0X", "007"])
+def test_malformed_number_literal_is_a_located_lex_error(text):
+    with pytest.raises(LexError, match="malformed number literal") as exc:
+        tokenize(f"int x;\nint y = {text};")
+    assert exc.value.line == 2
+
+
+@pytest.mark.parametrize("text", ["\u00b2", "1\u00b2", "\u0661"])
+def test_non_ascii_digits_are_a_located_lex_error(text):
+    # str.isdigit() accepts these; int() and the parser do not
+    with pytest.raises(LexError, match="unexpected character") as exc:
+        tokenize(f"int x;\nint y = {text};")
+    assert exc.value.line == 2
+
+
+def test_zero_literals_stay_numbers():
+    assert kinds("0 00 0x0") == [("num", "0"), ("num", "00"),
+                                 ("num", "0x0")]
+
+
+def test_newlines_in_a_string_literal_advance_the_line():
+    tokens = tokenize('f("two\nlines");\nx')
+    assert tokens[-2].text == "x" and tokens[-2].line == 3
+    with pytest.raises(LexError) as exc:
+        tokenize('f("a\nb\nc");\n$')
+    assert exc.value.line == 4

@@ -171,6 +171,33 @@ def _MATRIX_LINES():
     return [line for line, _status, _reason in _MATRIX]
 
 
+class TestFrontEndErrorsAreTyped:
+    """Lexer errors are typed front-end errors like parse and lowering
+    errors: answered once as ``error``, never retried into a ``crash``
+    quarantine."""
+
+    @pytest.mark.parametrize("source,reason,where", [
+        ("int f(int x) { return x + $; }", "LexError", "line 1"),
+        ("int f(int x) {\n  /* never closed\n}", "LexError", "line 2"),
+        ("int f(int x) {\n  return x + 09;\n}", "LexError", "line 2"),
+        ("int f(int x) { return 0x; }", "LexError", "line 1"),
+        ("int f(int x) {\n  return x + \u00b2;\n}", "LexError", "line 2"),
+        ("int f(int x) { return 1\u00b2; }", "LexError", "line 1"),
+        ('int f(int x) {\n  printf("a\nb");\n  return x + $;\n}',
+         "LexError", "line 4"),
+        ("int f(int x) { return x + ; }", "CParseError", "line 1"),
+        ("int f(int x) { return y; }", "LowerError", "undeclared"),
+    ])
+    def test_front_end_error_is_answered_typed(self, source, reason, where):
+        with Daemon(ServeConfig(jobs=1)) as daemon:
+            responses = daemon.serve_batch_lines(
+                [json.dumps({"id": 0, "source": source}),
+                 json.dumps({"id": 1, "source": _OK_SOURCE})])
+        assert [r["status"] for r in responses] == ["error", "ok"]
+        assert responses[0]["reason"] == reason
+        assert where in responses[0]["error"]
+
+
 class TestAdmissionHysteresis:
     def test_watermark_hysteresis(self):
         metrics = MetricsCollector()

@@ -97,3 +97,30 @@ def test_addresses_cover_every_instruction(figure2):
     addresses = layout_addresses(figure2)
     assert len(addresses) == figure2.size()
     assert sorted(addresses.values()) == [4 * i for i in range(20)]
+
+
+def test_run_blocks_starts_include_the_fetch_penalty():
+    """A block starts when its first instruction issues, icache miss
+    penalty included (block starts used to be estimated without it)."""
+    import random
+
+    from repro import ScheduleLevel, compile_c
+    from repro.bench.programs import MINMAX_WORKLOAD
+
+    unit = compile_c(MINMAX_WORKLOAD.source,
+                     level=ScheduleLevel.SPECULATIVE)["minmax"]
+    run = unit.run(*MINMAX_WORKLOAD.make_args(random.Random(1)))
+    blocks = [unit.func.block(label)
+              for label in run.execution.block_trace]
+    config = SimConfig(icache=ICacheConfig(size=128, line=16,
+                                           miss_penalty=8))
+    sim = TraceSimulator(rs6k(), config,
+                         addresses=layout_addresses(unit.func))
+    result = sim.run_blocks(blocks)
+    assert result.icache_misses > 0
+    first_issue, position = [], 0
+    for block in blocks:
+        first_issue.append(result.issue_cycles[position])
+        position += len(block.instrs)
+    assert result.block_starts == first_issue
+    assert result.block_starts[0] == 8  # a cold miss on the first fetch
