@@ -182,7 +182,7 @@ def _compile(path: str, level: str, machine: str, **config_kwargs):
         return compile_c(source, machine=factory(),
                          level=_LEVELS[level], config=config)
     except FRONT_END_ERRORS as exc:
-        # lexer and parser messages already start with "line N: "
+        # every front-end message already starts with "line N: "
         raise CLIError(f"error: {path}: {exc}") from exc
 
 
@@ -323,6 +323,10 @@ def cmd_verify(args) -> int:
     return 0
 
 
+def _is_ascii_digits(text: str) -> bool:
+    return text.isascii() and text.isdigit()
+
+
 def cmd_fuzz(args) -> int:
     from .resilience.errors import BudgetExceeded, CheckpointError
     from .verify import fuzz, reproduce
@@ -345,8 +349,10 @@ def cmd_fuzz(args) -> int:
             print("note: --reproduce runs single-process; ignoring --jobs",
                   file=sys.stderr)
         seed_text, sep, index_text = args.reproduce.partition(":")
-        if not (sep and seed_text.lstrip("-").isdigit()
-                and index_text.isdigit()):
+        # ASCII digits only: str.isdigit() also accepts "\u00b2" and
+        # "\u0661", which int() rejects
+        if not (sep and _is_ascii_digits(seed_text.removeprefix("-"))
+                and _is_ascii_digits(index_text)):
             print(f"--reproduce wants SEED:INDEX (two integers), "
                   f"got {args.reproduce!r}", file=sys.stderr)
             return 2

@@ -29,8 +29,9 @@ class BasicBlock:
     @property
     def terminator(self) -> Instruction | None:
         """The trailing branch, or ``None`` for a fall-through block."""
-        if self.instrs and self.instrs[-1].is_branch:
-            return self.instrs[-1]
+        instrs = self.instrs
+        if instrs and instrs[-1].opcode.is_branch:
+            return instrs[-1]
         return None
 
     @property

@@ -24,6 +24,12 @@ from .instruction import Instruction
 from .opcodes import Opcode
 from .operand import Reg, RegClass
 
+#: ``Reg(rclass, i)`` for every ``i`` below the pool's length, by
+#: ``RegClass.slot``: a register is an immutable value and building one
+#: costs more than the rest of ``new_reg``.  A pool grows only by the
+#: next index in turn, so it never holds a register nobody asked for.
+_REG_POOL: list[list[Reg]] = [[] for _ in RegClass]
+
 
 class Function:
     """A compilation unit: named, ordered list of basic blocks."""
@@ -32,8 +38,12 @@ class Function:
         self.name = name
         self.blocks: list[BasicBlock] = []
         self._labels: dict[str, BasicBlock] = {}
+        #: ``id(block) -> layout position``, built on first use and
+        #: dropped by every change to ``blocks``
+        self._layout: dict[int, int] | None = None
         self._next_uid = 1
-        self._next_reg = {rc: 0 for rc in RegClass}
+        #: next free symbolic register index, by ``RegClass.slot``
+        self._next_reg = [0] * len(RegClass)
         self._next_label = 0
 
     # -- block management --------------------------------------------------
@@ -56,6 +66,8 @@ class Function:
             self.blocks.append(block)
         else:
             self.blocks.insert(self.layout_index(after) + 1, block)
+        # after the insert: layout_index(after) above may rebuild the map
+        self._layout = None
         self._labels[label] = block
         return block
 
@@ -69,15 +81,23 @@ class Function:
         return label in self._labels
 
     def layout_index(self, block: BasicBlock) -> int:
-        for i, b in enumerate(self.blocks):
-            if b is block:
-                return i
-        raise ValueError(f"block {block.label} is not in {self.name}")
+        """``block``'s position in ``blocks``; O(1) between changes to the
+        layout (every ``fallthrough``/``successors`` query asks)."""
+        try:
+            return (self._layout or self._map_layout())[id(block)]
+        except KeyError:
+            raise ValueError(
+                f"block {block.label} is not in {self.name}") from None
+
+    def _map_layout(self) -> dict[int, int]:
+        self._layout = {id(b): i for i, b in enumerate(self.blocks)}
+        return self._layout
 
     def remove_block(self, block: BasicBlock) -> None:
         """Remove ``block`` from the function (caller guarantees nothing
         branches to it or falls into it)."""
         self.blocks.remove(block)
+        self._layout = None
         del self._labels[block.label]
 
     def fresh_label(self, prefix: str = "CL") -> str:
@@ -106,15 +126,22 @@ class Function:
 
     def note_registers(self, ins: Instruction) -> None:
         """Advance the symbolic-register counters past ``ins``'s operands."""
-        for reg in (*ins.defs, *ins.uses):
-            nxt = self._next_reg[reg.rclass]
-            if reg.index >= nxt:
-                self._next_reg[reg.rclass] = reg.index + 1
+        next_reg = self._next_reg
+        for reg in ins.defs + ins.uses:
+            if reg.index >= next_reg[reg.rclass.slot]:
+                next_reg[reg.rclass.slot] = reg.index + 1
 
     def new_reg(self, rclass: RegClass) -> Reg:
         """A fresh symbolic register of class ``rclass``."""
-        reg = Reg(rclass, self._next_reg[rclass])
-        self._next_reg[rclass] += 1
+        slot = rclass.slot
+        index = self._next_reg[slot]
+        self._next_reg[slot] = index + 1
+        pool = _REG_POOL[slot]
+        if index < len(pool):
+            return pool[index]
+        reg = Reg(rclass, index)
+        if index == len(pool):
+            pool.append(reg)
         return reg
 
     def new_gpr(self) -> Reg:
@@ -203,7 +230,7 @@ class Function:
         """
         out = Function(self.name)
         out._next_uid = self._next_uid
-        out._next_reg = dict(self._next_reg)
+        out._next_reg = list(self._next_reg)
         out._next_label = self._next_label
         for block in self.blocks:
             copy = out.add_block(block.label)
@@ -224,6 +251,7 @@ class Function:
         """
         fresh = snapshot.clone()
         self.blocks = fresh.blocks
+        self._layout = None
         self._labels = fresh._labels
         self._next_uid = fresh._next_uid
         self._next_reg = fresh._next_reg

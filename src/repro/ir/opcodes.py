@@ -29,6 +29,10 @@ class UnitType(Enum):
     FPU = "float"  # floating point unit
     BRU = "branch"  # branch unit
 
+    #: the member's position (set below): an int key for per-unit
+    #: tables, since hashing an Enum member runs Python code
+    slot: int
+
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return f"UnitType.{self.name}"
 
@@ -184,9 +188,16 @@ class Opcode(Enum):
     can_speculate: bool
     #: must the instruction end its basic block?
     is_terminator: bool
+    #: the member's position: an int key for per-opcode tables
+    slot: int
 
 
-for _op in Opcode:
+for _slot, _unit in enumerate(UnitType):
+    _unit.slot = _slot
+del _slot, _unit
+
+for _slot, _op in enumerate(Opcode):
+    _op.slot = _slot
     _info = _op.value
     _op.info = _info
     _op.mnemonic = _info.mnemonic
@@ -201,7 +212,7 @@ for _op in Opcode:
     _op.can_move_globally = _info.can_move_globally
     _op.can_speculate = _info.can_speculate
     _op.is_terminator = _info.is_branch
-del _op, _info
+del _slot, _op, _info
 
 
 #: mnemonic -> Opcode lookup used by the assembly parser.

@@ -33,9 +33,17 @@ class RegClass(Enum):
     CR = "cr"
     CTR = "ctr"
 
+    #: the member's position (set below): an int key for per-class
+    #: tables, since hashing an Enum member runs Python code
+    slot: int
+
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return f"RegClass.{self.name}"
 
+
+for _slot, _rclass in enumerate(RegClass):
+    _rclass.slot = _slot
+del _slot, _rclass
 
 #: Condition-register bit masks, matching the paper's ``0x1/lt`` notation.
 CR_LT = 0x1
@@ -67,7 +75,10 @@ class Reg:
     def __post_init__(self) -> None:
         if self.index < 0:
             raise ValueError(f"register index must be >= 0, got {self.index}")
-        object.__setattr__(self, "_hash", hash((self.rclass, self.index)))
+        # == hash((rclass, index)): Enum.__hash__ hashes the member's
+        # name, in Python code
+        object.__setattr__(self, "_hash",
+                           hash((self.rclass._name_, self.index)))
 
     def __hash__(self) -> int:
         return self._hash

@@ -47,7 +47,9 @@ _NEED_IMM = 32     # immediate-form ops carry their immediate
 _LOAD_DEFS = 64    # loads define at least one register
 _CALL_NAME = 128   # CALL names its callee
 
-_RULES: dict[Opcode, int] = {}
+#: indexed by ``Opcode.slot`` (an int key: hashing the member would run
+#: ``Enum.__hash__``, in Python, per instruction checked)
+_RULES: list[int] = []
 for _op in Opcode:
     _f = 0
     if _op.is_load or _op.is_store:
@@ -67,12 +69,12 @@ for _op in Opcode:
         _f |= _LOAD_DEFS
     if _op is Opcode.CALL:
         _f |= _CALL_NAME
-    _RULES[_op] = _f
+    _RULES.append(_f)
 del _op, _f
 
 
 def _verify_instruction(ins, where: str) -> None:
-    flags = _RULES[ins.opcode]
+    flags = _RULES[ins.opcode.slot]
     if not flags:
         # plain computation op: only the no-memory-operand rule applies
         if ins.mem is not None:

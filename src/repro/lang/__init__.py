@@ -12,7 +12,7 @@ from .lower import (
 from .parser import CParseError, parse_c
 
 #: every error the front end raises for bad mini-C input; each message
-#: names the offending line, except lowering's (the AST has no lines)
+#: starts with the offending line (``line N: ``)
 FRONT_END_ERRORS = (LexError, CParseError, LowerError)
 
 __all__ = [

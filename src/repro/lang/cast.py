@@ -1,40 +1,56 @@
-"""Abstract syntax of the mini-C subset (the "C AST", hence the name)."""
+"""Abstract syntax of the mini-C subset (the "C AST", hence the name).
+
+Nodes are slotted dataclasses compared by value.  They are not frozen:
+a frozen dataclass's ``__init__`` sets each field through
+``object.__setattr__``, which triples the cost of building a
+three-field node.  Nothing mutates or hashes a node after the parser
+builds it.
+"""
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+
+
+def _line():
+    """The source line a node starts on, named by lowering errors; not
+    part of the node's identity, so equal code on other lines compares
+    equal."""
+    return field(default=0, compare=False, kw_only=True)
 
 
 # -- expressions -----------------------------------------------------------
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class Expr:
     pass
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class Num(Expr):
     value: int
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class Var(Expr):
     name: str
+    line: int = _line()
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class ArrayRef(Expr):
     array: str
     index: Expr
+    line: int = _line()
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class Unary(Expr):
     op: str  # "-", "~", "!"
     operand: Expr
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class Binary(Expr):
     """Arithmetic, bitwise, shift and comparison operators."""
 
@@ -43,7 +59,7 @@ class Binary(Expr):
     right: Expr
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class Logical(Expr):
     """Short-circuit && / ||."""
 
@@ -52,20 +68,21 @@ class Logical(Expr):
     right: Expr
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class Call(Expr):
     callee: str
     args: tuple[Expr, ...]
+    line: int = _line()
 
 
 # -- statements ----------------------------------------------------------------
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class Stmt:
-    pass
+    line: int = _line()
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class Decl(Stmt):
     """``int x;`` or ``int x = e;`` (scalars only)."""
 
@@ -73,7 +90,7 @@ class Decl(Stmt):
     init: Expr | None
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class Assign(Stmt):
     """``target = value`` (target is a Var or ArrayRef); compound ops are
     desugared by the parser (``x += e`` becomes ``x = x + e``)."""
@@ -82,25 +99,25 @@ class Assign(Stmt):
     value: Expr
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class ExprStmt(Stmt):
     expr: Expr
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class If(Stmt):
     cond: Expr
     then: "Block"
     orelse: "Block | None"
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class While(Stmt):
     cond: Expr
     body: "Block"
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class For(Stmt):
     init: Stmt | None
     cond: Expr | None
@@ -108,29 +125,29 @@ class For(Stmt):
     body: "Block"
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class Return(Stmt):
     value: Expr | None
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class Break(Stmt):
     pass
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class Continue(Stmt):
     pass
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class Block(Stmt):
     statements: tuple[Stmt, ...]
 
 
 # -- top level ------------------------------------------------------------------
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class Param:
     """``int x`` (scalar) or ``int x[]`` / ``int *x`` (array base)."""
 
@@ -138,7 +155,7 @@ class Param:
     is_array: bool
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class FuncDef:
     name: str
     params: tuple[Param, ...]
@@ -146,7 +163,7 @@ class FuncDef:
     returns_value: bool  # int f() vs void f()
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class Program:
     functions: tuple[FuncDef, ...]
 

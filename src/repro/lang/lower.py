@@ -31,7 +31,12 @@ from .parser import parse_c
 
 
 class LowerError(ValueError):
-    pass
+    """Well-formed mini-C the lowering rejects, located by the source
+    line of the statement or name at fault."""
+
+    def __init__(self, line: int, message: str):
+        super().__init__(f"line {line}: {message}")
+        self.line = line
 
 
 @dataclass
@@ -84,7 +89,13 @@ class _FunctionLowerer:
     def __init__(self, fdef: C.FuncDef):
         self.fdef = fdef
         self.func = Function(fdef.name)
-        self.b = Builder(self.func)
+        self.b = b = Builder(self.func)
+        #: binary operator -> emitter, register-immediate and
+        #: register-register forms
+        self.imm_emit = {"+": b.ai, "-": b.si, "&": b.andi, "|": b.ori,
+                         "^": b.xori, "<<": b.sl, ">>": b.sra}
+        self.reg_emit = {"+": b.add, "-": b.sub, "*": b.mul, "/": b.div,
+                         "%": b.rem, "&": b.and_, "|": b.or_, "^": b.xor}
         self.env: dict[str, Reg] = {}
         self.arrays: set[str] = set()
         #: (continue target, break target) stack
@@ -149,7 +160,8 @@ class _FunctionLowerer:
             self.lower_block(stmt)
         elif isinstance(stmt, C.Decl):
             if stmt.name in self.env:
-                raise LowerError(f"redeclaration of {stmt.name!r}")
+                raise LowerError(stmt.line,
+                                 f"redeclaration of {stmt.name!r}")
             reg = self.func.new_gpr()
             self.env[stmt.name] = reg
             if stmt.init is not None:
@@ -176,27 +188,28 @@ class _FunctionLowerer:
             self.closed = True
         elif isinstance(stmt, C.Break):
             if not self.loops:
-                raise LowerError("break outside a loop")
+                raise LowerError(stmt.line, "break outside a loop")
             self.b.b(self.loops[-1][1])
             self.closed = True
         elif isinstance(stmt, C.Continue):
             if not self.loops:
-                raise LowerError("continue outside a loop")
+                raise LowerError(stmt.line, "continue outside a loop")
             self.b.b(self.loops[-1][0])
             self.closed = True
         else:  # pragma: no cover - closed AST
-            raise LowerError(f"cannot lower {stmt!r}")
+            raise LowerError(stmt.line, f"cannot lower {stmt!r}")
 
     def lower_assign(self, stmt: C.Assign) -> None:
         target = stmt.target
         if isinstance(target, C.Var):
-            self.eval_into(self.var_reg(target.name), stmt.value)
+            self.eval_into(self.var_reg(target), stmt.value)
         elif isinstance(target, C.ArrayRef):
             value = self.eval(stmt.value)
             base, disp = self.array_address(target)
             self.b.store(value, base, disp, symbol=target.array)
         else:  # pragma: no cover - parser enforces lvalues
-            raise LowerError(f"bad assignment target {target!r}")
+            raise LowerError(stmt.line,
+                             f"bad assignment target {target!r}")
 
     def lower_if(self, stmt: C.If) -> None:
         then_label = self.fresh()
@@ -350,21 +363,25 @@ class _FunctionLowerer:
 
     # -- expressions ----------------------------------------------------------------------
 
-    def var_reg(self, name: str) -> Reg:
+    def var_reg(self, var: C.Var) -> Reg:
+        name = var.name
         reg = self.env.get(name)
         if reg is None:
-            raise LowerError(f"use of undeclared variable {name!r}")
+            raise LowerError(var.line,
+                             f"use of undeclared variable {name!r}")
         if name in self.arrays:
-            raise LowerError(f"array {name!r} used as a scalar")
+            raise LowerError(var.line, f"array {name!r} used as a scalar")
         return reg
 
     def array_address(self, ref: C.ArrayRef) -> tuple[Reg, int]:
         """(base register, displacement) addressing ``ref``."""
         base = self.env.get(ref.array)
         if base is None:
-            raise LowerError(f"use of undeclared array {ref.array!r}")
+            raise LowerError(ref.line,
+                             f"use of undeclared array {ref.array!r}")
         if ref.array not in self.arrays:
-            raise LowerError(f"scalar {ref.array!r} indexed as an array")
+            raise LowerError(ref.line,
+                             f"scalar {ref.array!r} indexed as an array")
         if isinstance(ref.index, C.Num):
             return base, 4 * ref.index.value
         index = self.eval(ref.index)
@@ -376,22 +393,30 @@ class _FunctionLowerer:
 
     def eval(self, expr: C.Expr) -> Reg:
         """Evaluate ``expr`` into a register (fresh unless it is a Var)."""
-        if isinstance(expr, C.Var):
-            return self.var_reg(expr.name)
+        if type(expr) is C.Var:
+            return self.var_reg(expr)
         dest = self.func.new_gpr()
         self.eval_into(dest, expr)
         return dest
 
     def eval_into(self, dest: Reg, expr: C.Expr) -> None:
+        # the AST classes are final: dispatch on the exact type, most
+        # frequent first
         b = self.b
-        if isinstance(expr, C.Num):
+        kind = type(expr)
+        if kind is C.Binary:
+            if expr.op in _COMPARISONS:
+                self._materialize_bool(dest, expr)
+            else:
+                self._eval_arith(dest, expr)
+        elif kind is C.Num:
             b.li(dest, expr.value)
-        elif isinstance(expr, C.Var):
-            b.lr(dest, self.var_reg(expr.name))
-        elif isinstance(expr, C.ArrayRef):
+        elif kind is C.Var:
+            b.lr(dest, self.var_reg(expr))
+        elif kind is C.ArrayRef:
             base, disp = self.array_address(expr)
             b.load(dest, base, disp, symbol=expr.array)
-        elif isinstance(expr, C.Unary):
+        elif kind is C.Unary:
             if expr.op == "-":
                 b.neg(dest, self.eval(expr.operand))
             elif expr.op == "~":
@@ -399,46 +424,35 @@ class _FunctionLowerer:
             elif expr.op == "!":
                 self._materialize_bool(dest, expr)
             else:  # pragma: no cover - closed operator set
-                raise LowerError(f"bad unary {expr.op!r}")
-        elif isinstance(expr, C.Binary):
-            if expr.op in _COMPARISONS:
-                self._materialize_bool(dest, expr)
-            else:
-                self._eval_arith(dest, expr)
-        elif isinstance(expr, C.Logical):
+                raise AssertionError(f"bad unary {expr.op!r}")
+        elif kind is C.Logical:
             self._materialize_bool(dest, expr)
-        elif isinstance(expr, C.Call):
+        elif kind is C.Call:
             args = tuple(self.eval(a) for a in expr.args)
             b.call(expr.callee, args, rets=(dest,))
         else:  # pragma: no cover - closed AST
-            raise LowerError(f"cannot evaluate {expr!r}")
-
-    _IMM_OPS = {"+", "-", "&", "|", "^", "<<", ">>"}
+            raise AssertionError(f"cannot evaluate {expr!r}")
 
     def _eval_arith(self, dest: Reg, expr: C.Binary) -> None:
-        b = self.b
         op, left, right = expr.op, expr.left, expr.right
         # fold literal operands into immediate forms
-        if isinstance(left, C.Num) and op in ("+", "*", "&", "|", "^"):
+        if type(left) is C.Num and op in ("+", "*", "&", "|", "^"):
             left, right = right, left  # commutative: literal on the right
-        if isinstance(right, C.Num) and op in self._IMM_OPS:
-            value = right.value
-            lreg = self.eval(left)
-            emit = {"+": b.ai, "-": b.si, "&": b.andi, "|": b.ori,
-                    "^": b.xori, "<<": b.sl, ">>": b.sra}[op]
-            emit(dest, lreg, value)
-            return
-        if isinstance(right, C.Num) and op == "*":
-            shift = _power_of_two(right.value)
-            if shift is not None:
-                b.sl(dest, self.eval(left), shift)
+        if type(right) is C.Num:
+            emit = self.imm_emit.get(op)
+            if emit is not None:
+                emit(dest, self.eval(left), right.value)
                 return
+            if op == "*":
+                shift = _power_of_two(right.value)
+                if shift is not None:
+                    self.b.sl(dest, self.eval(left), shift)
+                    return
         lreg = self.eval(left)
         rreg = self.eval(right)
-        emit = {"+": b.add, "-": b.sub, "*": b.mul, "/": b.div,
-                "%": b.rem, "&": b.and_, "|": b.or_, "^": b.xor}.get(op)
+        emit = self.reg_emit.get(op)
         if emit is None:  # pragma: no cover - closed operator set
-            raise LowerError(f"bad binary operator {op!r}")
+            raise AssertionError(f"bad binary operator {op!r}")
         emit(dest, lreg, rreg)
 
     def _materialize_bool(self, dest: Reg, expr: C.Expr) -> None:

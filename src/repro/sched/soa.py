@@ -61,9 +61,6 @@ _ISSUED = 5    #: scheduled; terminal
 #: start (local or carried) is far above this
 _NEVER = -(1 << 30)
 
-#: UnitType member -> dense heap index (stable: enum order)
-_UNIT_INDEX = {unit: idx for idx, unit in enumerate(UnitType)}
-
 
 #: what every priority key must be for :func:`pack_rows` to order it
 _KEY_CONTRACT = ("priority keys must be equal-length tuples of ints, "
@@ -394,7 +391,6 @@ class DenseReadyQueue:
         seed scan."""
         self._state = state
         self._m = metrics if metrics.enabled else None
-        unit_index = _UNIT_INDEX
         self._heaps: list[list] = [[] for _ in UnitType]
         self._wheel: dict[int, list[int]] = {}
         self._current: list[int] = []    # seq heap: judged this scan
@@ -405,7 +401,8 @@ class DenseReadyQueue:
         self._drain_seq = -1             # last seq judged this scan
         self._requalify = False          # stale pre-mutation judgments exist
 
-        units = [unit_index[c.ins.unit] for c in cands]
+        # one heap per unit type, indexed by UnitType.slot
+        units = [c.ins.opcode.unit.slot for c in cands]
         idxs = [state.index_of(c.ins) for c in cands]
         veto = bytearray(
             0 if (c.useful or c.duplicate_into) else 1 for c in cands)

@@ -27,6 +27,7 @@ where an unsound speculation rule miscompiles.
 
 from __future__ import annotations
 
+import bisect
 import random
 from dataclasses import dataclass, field
 
@@ -338,3 +339,32 @@ def generate_program(seed: int) -> GenProgram:
              for _ in range(n_arrays)]
     return GenProgram(seed=seed, functions=functions, entry="test",
                       entry_args=args)
+
+
+#: source-line ventiles of :func:`generate_program` output (measured over
+#: 6000 programs)
+SIZE_EDGES = (7, 11, 14, 17, 20, 22, 24, 27, 29, 32, 35, 38, 41, 46, 50,
+              56, 64, 74, 89)
+
+
+def catalogue() -> list[GenProgram]:
+    """The 120 program texts of the repository benchmark's
+    ``corpus_compile`` workload: an equal quota per source-size ventile
+    (:data:`SIZE_EDGES`, tail included), drawn from generator seed 1991.
+
+    ``perfbench/workloads.py`` keeps its own copy (the benchmark is frozen
+    apart from the program under test);
+    ``tests/verify/test_generator.py`` checks that the two agree."""
+    count = 120
+    buckets = len(SIZE_EDGES) + 1
+    quota = [count // buckets + (1 if b < count % buckets else 0)
+             for b in range(buckets)]
+    rng = random.Random(1991 * 1_000_003)
+    chosen: list[GenProgram] = []
+    while len(chosen) < count:
+        program = generate_program(rng.randrange(1 << 31))
+        bucket = bisect.bisect_right(SIZE_EDGES, program.source.count("\n"))
+        if quota[bucket]:
+            quota[bucket] -= 1
+            chosen.append(program)
+    return chosen

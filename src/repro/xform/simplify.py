@@ -20,6 +20,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from ..ir.basic_block import BasicBlock
 from ..ir.function import Function
 from ..ir.opcodes import Opcode
 
@@ -44,8 +45,9 @@ def simplify_cfg(func: Function, *, max_rounds: int = 20) -> SimplifyReport:
         changed = 0
         changed += _thread_jumps(func, report)
         changed += _fold_fallthrough_jumps(func, report)
-        changed += _remove_unreachable(func, report)
-        changed += _merge_chains(func, report)
+        removed, succs = _remove_unreachable(func, report)
+        changed += removed
+        changed += _merge_chains(func, report, succs)
         if not changed:
             break
     return report
@@ -101,31 +103,44 @@ def _fold_fallthrough_jumps(func: Function, report: SimplifyReport) -> int:
     return changed
 
 
-def _remove_unreachable(func: Function, report: SimplifyReport) -> int:
-    reached: set[str] = set()
+def _remove_unreachable(
+        func: Function,
+        report: SimplifyReport) -> tuple[int, dict[str, list[BasicBlock]]]:
+    """Delete the blocks the entry cannot reach.  Returns their number and
+    the successors of every block left: removing a block changes none of
+    them, since a reachable block that fell into it would reach it."""
+    succs: dict[str, list[BasicBlock]] = {}
     stack = [func.entry]
     while stack:
         block = stack.pop()
-        if block.label in reached:
+        if block.label in succs:
             continue
-        reached.add(block.label)
-        stack.extend(func.successors(block))
-    dead = [b for b in func.blocks if b.label not in reached]
+        out = succs[block.label] = func.successors(block)
+        stack.extend(out)
+    dead = [b for b in func.blocks if b.label not in succs]
     for block in dead:
         func.remove_block(block)
         report.removed_blocks += 1
-    return len(dead)
+    return len(dead), succs
 
 
-def _merge_chains(func: Function, report: SimplifyReport) -> int:
+def _merge_chains(func: Function, report: SimplifyReport,
+                  succs: dict[str, list[BasicBlock]]) -> int:
     """Merge ``B`` into ``A`` when A's only way out is into B and B's only
-    way in is from A (and A doesn't end the function)."""
+    way in is from A (and A doesn't end the function).
+
+    ``succs`` (every block's successors) is kept current: a merge changes
+    only A's out-edges -- the block laid out before B falls into B only
+    if it is A."""
     changed = 0
-    preds = func.predecessors_map()
+    preds: dict[str, list[BasicBlock]] = {b.label: [] for b in func.blocks}
+    for block in func.blocks:
+        for succ in succs[block.label]:
+            preds[succ.label].append(block)
     for block in list(func.blocks):
         if not func.has_block(block.label):
             continue  # already merged away in this round
-        succ_list = func.successors(block)
+        succ_list = succs[block.label]
         if len(succ_list) != 1:
             continue
         succ = succ_list[0]
@@ -143,5 +158,10 @@ def _merge_chains(func: Function, report: SimplifyReport) -> int:
         func.remove_block(succ)
         report.merged_blocks += 1
         changed += 1
-        preds = func.predecessors_map()
+        for out in succs.pop(succ.label):
+            preds[out.label].remove(succ)
+        del preds[succ.label]
+        succs[block.label] = func.successors(block)
+        for out in succs[block.label]:
+            preds[out.label].append(block)
     return changed

@@ -257,7 +257,7 @@ class TestMalformedMiniC:
         ("return x + $;", "line 3: unexpected character '$'"),
         ("return x + 09;", "line 3: malformed number literal '09'"),
         ("return x + ;", "line 3: expected an expression"),
-        ("return y;", "use of undeclared variable 'y'"),
+        ("return y;", "line 3: use of undeclared variable 'y'"),
     ], ids=["lex", "literal", "parse", "lower"])
     def test_front_end_error_is_one_line(self, argv, body, message,
                                          tmp_path, capsys):
@@ -268,6 +268,46 @@ class TestMalformedMiniC:
         assert err.startswith(f"error: {path}: {message}")
         assert len(err.strip().splitlines()) == 1
         assert "Traceback" not in err
+
+
+class TestLocatedLoweringErrors:
+    """Every lowering error a mini-C source can reach names the line of
+    the statement or name at fault.  (The remaining raise sites in
+    ``lower.py`` guard operators and node types the parser never
+    produces.)"""
+
+    @pytest.mark.parametrize("body,line,message", [
+        ("int y;\nint y;", 4, "redeclaration of 'y'"),
+        ("for (int x = 0; x < 3; x += 1) { }", 3, "redeclaration of 'x'"),
+        ("\nbreak;", 4, "break outside a loop"),
+        ("if (x) {\n  continue;\n}", 4, "continue outside a loop"),
+        ("x = x +\n  y;", 4, "use of undeclared variable 'y'"),
+        ("y = 1;", 3, "use of undeclared variable 'y'"),
+        ("return a;", 3, "array 'a' used as a scalar"),
+        ("x = b[1];", 3, "use of undeclared array 'b'"),
+        ("x = 1;\nx[0] = 2;", 4, "scalar 'x' indexed as an array"),
+    ], ids=["redeclared", "redeclared-in-for", "break", "continue",
+            "undeclared-operand", "undeclared-target", "array-as-scalar",
+            "undeclared-array", "scalar-indexed"])
+    def test_lowering_error_names_its_line(self, body, line, message,
+                                           tmp_path, capsys):
+        path = tmp_path / "bad.c"
+        path.write_text(f"\nint f(int x, int a[]) {{\n{body}\n"
+                        f"return x;\n}}\n")
+        assert main(["compile", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert err == f"error: {path}: line {line}: {message}\n"
+
+
+class TestReproduceArgument:
+    @pytest.mark.parametrize("value", ["1991:\u00b2", "\u0661:3",
+                                       "1991:\u0661", "--1:3"])
+    def test_non_ascii_digits_are_a_usage_error(self, value, capsys):
+        # str.isdigit() accepts these, int() does not
+        assert main(["fuzz", f"--reproduce={value}"]) == 2
+        err = capsys.readouterr().err
+        assert err == ("--reproduce wants SEED:INDEX (two integers), "
+                       f"got {value!r}\n")
 
 
 class TestBadCheckpointResume:

@@ -187,6 +187,8 @@ class TestFrontEndErrorsAreTyped:
          "LexError", "line 4"),
         ("int f(int x) { return x + ; }", "CParseError", "line 1"),
         ("int f(int x) { return y; }", "LowerError", "undeclared"),
+        ("int f(int x) {\n  x = 1;\n  break;\n}", "LowerError",
+         "line 3: break outside a loop"),
     ])
     def test_front_end_error_is_answered_typed(self, source, reason, where):
         with Daemon(ServeConfig(jobs=1)) as daemon:

@@ -1,12 +1,17 @@
 """The program generator: determinism, validity, and the safety rules the
 grammar promises (termination, defined variables, in-bounds indices)."""
 
+import sys
+from pathlib import Path
+
 import pytest
 
 from repro.compiler import compile_c
 from repro.sched.candidates import ScheduleLevel
 from repro.verify import generate_program
-from repro.verify.generator import GenProgram, If, Line, Loop
+from repro.verify.generator import GenProgram, If, Line, Loop, catalogue
+
+PERFBENCH = Path(__file__).resolve().parents[2] / "perfbench"
 
 
 def test_deterministic():
@@ -101,3 +106,17 @@ def test_render_roundtrip_is_stable():
         entry=program.entry,
         entry_args=program.entry_args,
     ).source
+
+
+def test_catalogue_matches_the_benchmark_copy(monkeypatch):
+    """``catalogue()`` and the repository benchmark's ``corpus_compile``
+    catalogue are two copies of one program-text set."""
+    if not (PERFBENCH / "workloads.py").exists():
+        pytest.skip("no perfbench/ in this checkout")
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    monkeypatch.delitem(sys.modules, "workloads", raising=False)
+    import workloads
+
+    mine = [program.source for program in catalogue()]
+    assert len(mine) == 120
+    assert mine == [program.source for program in workloads.catalogue(120)]

@@ -1,5 +1,7 @@
 """Standalone local register-renaming tests."""
 
+import tracemalloc
+
 from repro.ir import cr, gpr, parse_function, verify_function
 from repro.machine import rs6k
 from repro.pdg import DepKind, build_block_ddg
@@ -141,3 +143,27 @@ a:
     assert ai_out.uses[0] == ai_self.defs[0]
     assert li.defs[0] != ai_self.defs[0]
     assert execute(func).return_value == 8
+
+
+def test_renaming_past_a_huge_register_index_allocates_one_register():
+    """Each fresh register past ``r100000000`` is built on its own, not
+    together with every index below it."""
+    func = parse_function("""
+function f
+a:
+    LI r100000000=5
+    AI r2=r100000000,1
+    LI r100000000=9
+    AI r3=r100000000,1
+    RET r3
+""")
+    tracemalloc.start()
+    try:
+        rename_function(func)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
+    defs = [ins.defs[0].index for ins in func.block("a").instrs[:4]]
+    assert sorted(defs) == list(range(100000001, 100000005))
+    assert execute(func).return_value == 10
