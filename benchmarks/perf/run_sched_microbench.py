@@ -1,4 +1,4 @@
-"""Scheduler inner-loop microbench: SoA engine vs seed scan.
+"""Scheduler inner-loop microbench: production block pass vs seed scan.
 
 Times the *engine only* -- ``schedule_region`` as invoked by the driver,
 no parsing, no region finding, no liveness setup -- on synthetic
@@ -10,13 +10,20 @@ programs whose block size scales geometrically, and writes
 
 Each size is one C function with a loop body split by a branch, so the
 region scheduler sees equivalent *and* speculative candidates; the two
-arms are the struct-of-arrays engine (interned ints, CSR adjacency,
-packed priority keys, bitmask liveness) and the seed inner loop
+arms are the production block pass (a flat cycle loop over dense
+dependence state, packed priority keys, cached Section 5.3 verdicts and
+bitmask liveness) and the seed inner loop
 (``repro.reference.oracle_arm("scheduler")``: full candidate rescans per
 issue slot on the per-query dependence state, plus per-motion liveness
 traversals).  Both arms schedule freshly parsed copies of the same
 function and must agree on the printed schedule before their timings are
 reported.
+
+A ``catalogue`` row times the same seam over the real traffic: the 120
+programs of ``repro.verify.generator.catalogue()`` (the benchmark's
+``corpus_compile`` corpus) compiled at SPECULATIVE on rs6k through the
+whole pipeline, both arms, plus the distribution of candidates per block
+pass.  It is reported, not gated.
 
 The engine is timed through an accumulating wrapper around
 ``repro.sched.driver.schedule_region`` -- the exact seam the two engines
@@ -48,7 +55,11 @@ from repro.ir.parser import parse_function
 from repro.ir.printer import format_function
 from repro.machine.configs import CONFIGS
 from repro.reference import oracle_arm
+from repro.obs import CollectingTracer
+from repro.obs.events import CandidatesCollected
 from repro.sched.candidates import ScheduleLevel
+from repro.verify.generator import catalogue
+from repro.xform.pipeline import PipelineConfig
 
 #: statements per straight-line chunk, one function per entry; the top
 #: size keeps the loop region just under ``regions.MAX_REGION_INSTRS``
@@ -157,6 +168,56 @@ def bench_size(k: int, repeats: int) -> dict:
     }
 
 
+def _percentile(values: list[int], q: float) -> int:
+    ordered = sorted(values)
+    return ordered[min(len(ordered) - 1, int(q * len(ordered)))]
+
+
+def bench_catalogue(repeats: int) -> dict:
+    """Engine time over the catalogue's real regions, both arms, and the
+    candidates-per-pass distribution of the production arm."""
+    machine = CONFIGS["rs6k"]()
+    sources = [program.source for program in catalogue()]
+
+    def run():
+        return [[unit.assembly() for unit in
+                 compile_c(source, machine=machine,
+                           level=ScheduleLevel.SPECULATIVE)]
+                for source in sources]
+
+    soa_out = run()
+    with oracle_arm("scheduler"):
+        scan_out = run()
+    if soa_out != scan_out:
+        raise SystemExit("engine divergence on the catalogue")
+
+    tracer = CollectingTracer()
+    for source in sources:
+        compile_c(source, machine=machine, level=ScheduleLevel.SPECULATIVE,
+                  config=PipelineConfig(level=ScheduleLevel.SPECULATIVE,
+                                        trace=tracer))
+    per_pass = [e.own + e.useful + e.speculative + e.duplication
+                for e in tracer.events if isinstance(e, CandidatesCollected)]
+
+    soa_s = scan_s = float("inf")
+    for _ in range(repeats):
+        soa_s = min(soa_s, _engine_time(run))
+        with oracle_arm("scheduler"):
+            scan_s = min(scan_s, _engine_time(run))
+    return {
+        "programs": len(sources),
+        "block_passes": len(per_pass),
+        "candidates_per_pass": {
+            "median": _percentile(per_pass, 0.5),
+            "p90": _percentile(per_pass, 0.9),
+            "max": max(per_pass),
+        },
+        "soa_ms": soa_s * 1e3,
+        "scan_ms": scan_s * 1e3,
+        "speedup": scan_s / soa_s,
+    }
+
+
 def gate(rows: list[dict]) -> list[str]:
     """Regression messages for every row below its floor."""
     failures = []
@@ -192,6 +253,14 @@ def main(argv: list[str] | None = None) -> int:
               f"{row['soa_ms']:7.2f} ms ({row['speedup']:.2f}x)",
               flush=True)
 
+    cat = bench_catalogue(repeats)
+    dist = cat["candidates_per_pass"]
+    print(f"  catalogue ({cat['programs']} programs, {cat['block_passes']} "
+          f"block passes; candidates/pass median {dist['median']}, p90 "
+          f"{dist['p90']}, max {dist['max']}): scan {cat['scan_ms']:8.2f} "
+          f"ms -> soa {cat['soa_ms']:7.2f} ms ({cat['speedup']:.2f}x)",
+          flush=True)
+
     gated = not args.no_gate
     failures = gate(rows) if gated else []
     results = {
@@ -204,6 +273,7 @@ def main(argv: list[str] | None = None) -> int:
         },
         "gate_min_speedup": {str(k): v for k, v in GATE_MIN_SPEEDUP.items()},
         "sizes": rows,
+        "catalogue": cat,
     }
     out = Path(args.out)
     out.write_text(json.dumps(results, indent=2) + "\n")

@@ -182,33 +182,24 @@ def format_stats(title: str, machine_name: str, level_name: str,
                          f"  over {ready_n} cycles")
         scans = c.get("sched.queue.scan_points", 0)
         if scans:
+            judged = c.get("sched.queue.judgments", 0)
+            reused = c.get("sched.queue.verdict_hits", 0)
             rows = (
                 ("readiness scan points", scans),
-                ("candidate visits, seed full scan",
-                 c.get("sched.queue.seed_scan_visits", 0)),
-                ("ready pushes", c.get("sched.queue.ready_pushes", 0)),
-                ("heap pops (issues)", c.get("sched.queue.heap_pops", 0)),
-                ("speculative veto re-checks",
-                 c.get("sched.queue.veto_rechecks", 0)),
-                ("timing-wheel holds", c.get("sched.queue.wheel_holds", 0)),
-                ("liveness re-flags", c.get("sched.queue.liveness_flags", 0)),
-                ("queue rebuilds (graph mutated)",
-                 c.get("sched.queue.rebuilds", 0)),
+                ("candidates walked (deps met)",
+                 c.get("sched.queue.visits", 0)),
+                ("Section 5.3 judgments", judged),
+                ("verdicts reused from cache", reused),
             )
             lines.append("")
-            lines.append("scheduler inner loop (event-driven ready queue)")
+            lines.append("scheduler inner loop (flat cycle loop)")
             for label, count in rows:
                 lines.append(f"  {label:<33}{count:>6}")
-            seed_visits = c.get("sched.queue.seed_scan_visits", 0)
-            event_visits = sum(c.get(f"sched.queue.{k}", 0)
-                               for k in ("ready_pushes", "heap_pops",
-                                         "veto_rechecks", "wheel_holds",
-                                         "liveness_flags"))
-            if seed_visits > event_visits:
-                lines.append(f"  scan work avoided                "
-                             f"{1 - event_visits / seed_visits:>6.1%}  "
-                             f"({event_visits}/{seed_visits} candidate "
-                             f"visits)")
+            if reused:
+                lines.append(f"  judgments avoided                "
+                             f"{reused / (judged + reused):>6.1%}  "
+                             f"({judged}/{judged + reused} speculative "
+                             f"checks judged)")
         packed = c.get("sched.soa.packed_keys", 0)
         if packed:
             soa_rows = (

@@ -17,7 +17,9 @@ earliest starts in flat lists, and readiness kept incrementally -- issuing
 an instruction classifies each successor once instead of rescanning every
 pending instruction per issue.  Selection is an argmin scan of the (small)
 ready list; keys are unique (position is a field), so this equals the
-seed's stable sort.  The seed's rescan implementation is preserved
+seed's stable sort.  The global block pass
+(:mod:`repro.sched.global_sched`) is the same kind of flat cycle loop,
+with candidates from other blocks and Section 5.3 judgments added.  The seed's rescan implementation is preserved
 verbatim as :func:`repro.sched.reference.schedule_block_reference` and the
 equivalence suite holds the two byte-identical.
 """

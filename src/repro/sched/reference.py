@@ -119,7 +119,7 @@ def schedule_block_scan(
             pending.setdefault(id(cand.ins), cand)
     if tracer.enabled or metrics.enabled:
         _note_block_entry(tracer, metrics, label, carry_cycles,
-                          equiv, speculative, pending)
+                          equiv, speculative, pending.values())
     #: ids of instructions whose live-on-exit veto was already reported
     #: this pass (the readiness scan re-evaluates them every cycle)
     vetoes_logged: set[int] = set()

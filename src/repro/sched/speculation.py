@@ -171,38 +171,35 @@ class LiveOnExitTracker:
     def _build_masks(self) -> None:
         """Intern the forward graph's labels to dense bits and precompute
         per-node downstream/upstream reachability masks (both include the
-        node itself, matching ``Digraph.reachable_from``)."""
-        nodes = self._forward.nodes
+        node itself, matching ``Digraph.reachable_from``).
+
+        A node's downstream mask is its own bit OR its successors'
+        masks, so one sweep in reverse topological order (Kahn's) settles
+        a DAG -- a region's forward graph is one -- and the sweep repeats
+        until nothing changes, which also covers a graph with cycles.
+        Upstream masks are the same closure over the predecessors."""
+        succs, preds = self._forward.adjacency()
+        nodes = list(succs)
         bit = {label: pos for pos, label in enumerate(nodes)}
-        succ_bits = [
-            [bit[succ] for succ in self._forward.succs(label)]
-            for label in nodes
-        ]
+        succ_bits = [[bit[nxt] for nxt in succs[label]] for label in nodes]
+        pred_bits = [[bit[prv] for prv in preds[label]] for label in nodes]
         count = len(nodes)
-        down = [0] * count
-        for pos in range(count):
-            seen = 1 << pos
-            stack = [pos]
-            while stack:
-                here = stack.pop()
-                for nxt in succ_bits[here]:
-                    nxt_bit = 1 << nxt
-                    if not (seen & nxt_bit):
-                        seen |= nxt_bit
-                        stack.append(nxt)
-            down[pos] = seen
-        up = [0] * count
-        for pos in range(count):
-            mask = down[pos]
-            pos_bit = 1 << pos
-            while mask:
-                low = mask & -mask
-                mask ^= low
-                up[low.bit_length() - 1] |= pos_bit
+        indegree = [len(row) for row in pred_bits]
+        order = [pos for pos in range(count) if not indegree[pos]]
+        for pos in order:
+            for nxt in succ_bits[pos]:
+                indegree[nxt] -= 1
+                if not indegree[nxt]:
+                    order.append(nxt)
+        acyclic = len(order) == count
+        if not acyclic:
+            # nodes on a cycle never reach in-degree zero
+            placed = set(order)
+            order += [pos for pos in range(count) if pos not in placed]
         self._bit = bit
         self._labels = tuple(nodes)
-        self._down = down
-        self._up = up
+        self._down = _closure(order[::-1], succ_bits, acyclic)
+        self._up = _closure(order, pred_bits, acyclic)
 
     def _defbits(self, defs) -> int:
         """The defined registers as an interned bitmask (assigns bits)."""
@@ -233,6 +230,26 @@ class LiveOnExitTracker:
             live.update(defs)
             if label in rmask:
                 rmask[label] |= defbits
+
+
+def _closure(order: list[int], adjacent: list[list[int]],
+             acyclic: bool) -> list[int]:
+    """Per node, the bitmask of itself and every node reachable through
+    ``adjacent``.  ``order`` lists each node after the nodes adjacent to
+    it when the graph is acyclic, and one sweep is exact; otherwise the
+    sweep repeats until it changes nothing."""
+    masks = [1 << pos for pos in range(len(adjacent))]
+    changed = True
+    while changed:
+        changed = False
+        for pos in order:
+            mask = masks[pos]
+            for nxt in adjacent[pos]:
+                mask |= masks[nxt]
+            if mask != masks[pos]:
+                masks[pos] = mask
+                changed = not acyclic
+    return masks
 
 
 def try_rename_for_motion(

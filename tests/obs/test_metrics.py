@@ -156,3 +156,22 @@ def test_format_stats_soa_core_block():
     assert "struct-of-arrays" not in format_stats(
         "demo.c", "rs6k", "speculative", [("f", _Report())],
         MetricsCollector())
+
+
+def test_format_stats_flat_loop_block():
+    m = MetricsCollector()
+    m.inc("sched.queue.scan_points", 12)
+    m.inc("sched.queue.visits", 40)
+    m.inc("sched.queue.judgments", 3)
+    m.inc("sched.queue.verdict_hits", 9)
+    text = format_stats("demo.c", "rs6k", "speculative", [("f", _Report())],
+                        m)
+    assert "scheduler inner loop (flat cycle loop)" in text
+    assert any(line.split()[-1] == "40"
+               for line in text.splitlines() if "candidates walked" in line)
+    assert "judgments avoided" in text and "75.0%" in text
+    assert "(3/12 speculative checks judged)" in text
+    # the block is omitted entirely when no block pass ran
+    assert "inner loop" not in format_stats(
+        "demo.c", "rs6k", "speculative", [("f", _Report())],
+        MetricsCollector())

@@ -1,161 +1,159 @@
-"""Unit tests for the event-driven dense ready queue (the SoA core).
+"""Unit tests for the block pass's ready list (Section 5.1's inner loop).
 
-The equivalence suite proves the queue reproduces the seed scan
-end-to-end; these tests pin the *mechanisms* in isolation: each
-candidate is pushed to its heap exactly once, the timing wheel holds
-activations until their earliest-start cycle, the dependence-state
-listener fires on the last predecessor only, graph mutations trigger
-rebuilds, and selection honours unit capacity in key order.
+The equivalence suite proves the flat cycle loop reproduces the seed scan
+end to end; these tests pin its mechanisms on small hand-written regions,
+read back from the decision trace: only dependence-ready candidates are
+ready, each issues exactly once, a satisfied successor still waits for its
+earliest start, the terminator closes the block and foreign branches never
+move, selection honours unit capacity, a graph mutation re-syncs the
+dependence state, and a Section 5.3 verdict is re-judged only when a
+motion grew liveness by a register the candidate defines.
 """
 
 from repro.ir import parse_function
 from repro.machine import rs6k
-from repro.obs.metrics import MetricsCollector
-from repro.pdg import build_block_ddg
-from repro.sched.candidates import Candidate
-from repro.sched.heuristics import compute_region_priorities, full_priority_key
-from repro.sched.soa import (
-    _PARKED,
-    _READY,
-    _WAITING,
-    DenseDependenceState,
-    DenseReadyQueue,
-    pack_rows,
+from repro.machine.configs import CONFIGS
+from repro.obs import CollectingTracer, MetricsCollector
+from repro.obs.events import (
+    CycleAdvance,
+    Issue,
+    MotionRecorded,
+    SpeculationRejected,
 )
+from repro.sched import ScheduleLevel, global_schedule
 
-
-def make_queue(metrics=None):
-    """Queue over the standard 4-instruction block, terminator excluded."""
-    func = parse_function("""
+CHAIN = """
 function f
 a:
     L  r1=x(r10,0)
     AI r2=r1,1
     C  cr0=r2,r3
     BT a,cr0,0x1/lt
-""")
-    block = func.block("a")
-    machine = rs6k()
-    ddg = build_block_ddg(block, machine)
-    state = DenseDependenceState(ddg, machine)
-    state.begin_block()
-    priorities = compute_region_priorities([block], ddg, machine)
-    cands = [Candidate(ins, "a", useful=True) for ins in block.instrs]
-    rows = [full_priority_key(c, priorities) for c in cands]
-    pkeys = pack_rows([(dup, *rest) for dup, rest in rows])
-    queue = DenseReadyQueue(
-        state,
-        cands,
-        pkeys,
-        block.terminator,
-        metrics if metrics is not None else MetricsCollector(),
-    )
-    return block, state, queue
+"""
+
+#: Section 5.3's sibling definitions of r10, plus an unrelated r11 in B3
+SIBLINGS = """
+function f
+B1:
+    C  cr0=r1,r2
+    AI r20=r1,1
+    BF B3,cr0,0x1/lt
+B2:
+    LI r10=5
+    B B4
+B3:
+    LI r10=3
+    LI r11=7
+B4:
+    CALL print(r10)
+    RET
+"""
 
 
-def seq_of(queue, ins):
-    """The collection sequence number of ``ins`` in ``queue``."""
-    return next(s for s, c in enumerate(queue.cands) if c.ins is ins)
+def schedule(text, level=ScheduleLevel.USEFUL, machine=None, **kwargs):
+    """(function, report, trace events, metrics) of one global sweep."""
+    func = parse_function(text)
+    tracer, metrics = CollectingTracer(), MetricsCollector()
+    report = global_schedule(func, machine or rs6k(), level, tracer=tracer,
+                             metrics=metrics, **kwargs)
+    return func, report, tracer.events, metrics
 
 
-def drain(queue):
-    """Judge everything judgeable at the current scan point."""
-    queue.scan_start()
-    while (seq := queue.next_evaluation()) >= 0:
-        queue.promote(seq)
+def issues(events, label):
+    return [e for e in events if isinstance(e, Issue) and e.label == label]
 
 
 def test_terminator_is_held_out_and_foreign_branches_dropped():
-    block, state, queue = make_queue()
-    term_seq = queue.term_seq
-    assert term_seq >= 0 and queue.cands[term_seq].ins is block.terminator
-    assert term_seq not in queue._active
-    assert len(queue._active) == 3           # L, AI, C
+    func, report, events, _ = schedule(SIBLINGS, ScheduleLevel.SPECULATIVE,
+                                       live_at_exit=frozenset())
+    for block in func.blocks:
+        branches = [ins for ins in block.instrs if ins.is_branch]
+        assert branches == ([block.terminator]
+                            if block.terminator is not None else [])
+        if block.terminator is not None:
+            assert block.instrs[-1] is block.terminator
+    # B2's jump was a candidate nowhere but home: no branch ever moved
+    assert all(m.opcode not in ("B", "BT", "BF") for m in report.motions)
+    assert report.motions, "the sibling LIs should move into B1"
 
 
 def test_only_roots_become_ready_and_exactly_once():
-    metrics = MetricsCollector()
-    block, state, queue = make_queue(metrics)
-    queue.begin_cycle(0)
-    drain(queue)
-    assert queue.ready_count == 1            # the load is the only root
-    # further scan points push nothing new
-    drain(queue)
-    drain(queue)
-    assert metrics.counters["sched.queue.ready_pushes"] == 1
+    func, _, events, _ = schedule(CHAIN)
+    first = next(e for e in events if isinstance(e, CycleAdvance))
+    assert first.cycle == 0 and first.ready == 1   # the load is the only root
+    uids = [e.uid for e in issues(events, "a")]
+    assert sorted(uids) == sorted(ins.uid for ins in func.block("a").instrs)
+    assert len(set(uids)) == len(uids) == 4
 
 
-def test_listener_fires_on_last_predecessor_and_wheel_delays_entry():
-    metrics = MetricsCollector()
-    block, state, queue = make_queue(metrics)
-    load, ai, cmp_i, bt = block.instrs
-    queue.begin_cycle(0)
-    drain(queue)
-    seq_ai = seq_of(queue, ai)
-    assert queue.status[seq_ai] == _WAITING
-    # issuing the load fulfils AI's last predecessor mid-cycle; its
-    # earliest start (cycle 2: exec 1 + delay 1) lands it on the wheel
-    state.mark_issued(load, 0)
-    queue.pop_issue(seq_of(queue, load))
-    assert queue.status[seq_ai] != _WAITING
-    assert queue.status[seq_ai] != _READY
-    assert metrics.counters["sched.queue.wheel_holds"] == 1
-    queue.begin_cycle(1)
-    drain(queue)
-    assert queue.ready_count == 0            # still held
-    queue.begin_cycle(2)
-    drain(queue)
-    assert queue.ready_count == 1            # matured exactly on time
-    assert queue.status[seq_ai] == _READY
+def test_timing_holds_a_satisfied_successor_until_its_earliest_start():
+    _, _, events, _ = schedule(CHAIN)
+    cycle_of = {e.opcode: e.cycle for e in issues(events, "a")}
+    # AI waits out the load's delay (exec 1 + delay 1), the branch the
+    # compare's (exec 1 + delay 3), though both are dependence-ready
+    assert cycle_of == {"L": 0, "AI": 2, "C": 3, "BT": 7}
+    ready = {e.cycle: e.ready for e in events
+             if isinstance(e, CycleAdvance) and e.label == "a"}
+    assert ready[1] == 0 and ready[2] == 1
 
 
 def test_select_respects_unit_capacity():
-    from repro.ir.opcodes import UnitType
-
-    block, state, queue = make_queue()
-    load, ai, cmp_i, bt = block.instrs
-    queue.begin_cycle(0)
-    drain(queue)
-    free = [1] * len(list(UnitType))
-    chosen = queue.select(free)
-    assert chosen >= 0 and queue.cands[chosen].ins is load
-    free[queue.units[chosen]] = 0            # unit exhausted
-    assert queue.select(free) < 0
-
-
-def test_parked_entry_leaves_heap_until_reflagged():
-    block, state, queue = make_queue()
-    load, ai, cmp_i, bt = block.instrs
-    queue.begin_cycle(0)
-    drain(queue)
-    seq = seq_of(queue, load)
-    queue.park(seq)
-    assert queue.ready_count == 0
-    assert queue.status[seq] == _PARKED
-    from repro.ir.opcodes import UnitType
-    assert queue.select([1] * len(list(UnitType))) < 0
+    text = """
+function f
+a:
+    AI r1=r10,1
+    AI r2=r11,1
+    AI r3=r12,1
+    RET
+"""
+    _, _, narrow, _ = schedule(text, machine=rs6k())
+    _, _, wide, _ = schedule(text, machine=CONFIGS["ss2"]())
+    narrow_cycles = [e.cycle for e in issues(narrow, "a") if e.opcode == "AI"]
+    wide_cycles = [e.cycle for e in issues(wide, "a") if e.opcode == "AI"]
+    assert narrow_cycles == [0, 1, 2]              # one fixed-point unit
+    assert wide_cycles == [0, 0, 1]                # two
 
 
 def test_version_bump_triggers_rebuild_at_scan_start():
-    metrics = MetricsCollector()
-    block, state, queue = make_queue(metrics)
-    load, ai, cmp_i, bt = block.instrs
-    queue.begin_cycle(0)
-    drain(queue)
-    before = metrics.counters.get("sched.queue.rebuilds", 0)
-    # an honest mutation bumps the version; the next scan point rebuilds
-    from repro.pdg.data_deps import DepKind
-    state.ddg.add_edge(load, cmp_i, DepKind.ANTI, 0)
-    drain(queue)
-    assert metrics.counters["sched.queue.rebuilds"] == before + 1
-    # the load is still the sole root and still (exactly once more) ready
-    assert queue.ready_count == 1
+    # catalogue program 25 renames twice (Section 4.2); each rename edits
+    # the graph, and the next scan point re-syncs the dependence state --
+    # still byte-identical to the seed scan pass
+    from repro.compiler import compile_c
+    from repro.reference import oracle_arm
+    from repro.verify.generator import catalogue
+    from repro.xform.pipeline import PipelineConfig
+
+    source = catalogue()[25].source
+
+    def build():
+        metrics = MetricsCollector()
+        result = compile_c(source, level=ScheduleLevel.SPECULATIVE,
+                           config=PipelineConfig(
+                               level=ScheduleLevel.SPECULATIVE,
+                               metrics=metrics))
+        return [unit.assembly() for unit in result], metrics.counters
+
+    assembly, counters = build()
+    assert counters["sched.speculation.renamed"] == 2
+    assert counters["sched.ddg_invalidations"] == 2
+    with oracle_arm("scan"):
+        assert build()[0] == assembly
 
 
-def test_detach_unsubscribes_the_listener():
-    block, state, queue = make_queue()
-    load = block.instrs[0]
-    queue.detach()
-    assert state._listener is None
-    state.mark_issued(load, 0)               # must not touch the queue
-    assert queue.status[seq_of(queue, block.instrs[1])] == _WAITING
+def test_verdicts_are_rejudged_only_for_the_registers_a_motion_defines():
+    # all three LIs pass when first judged; moving B2's x=5 makes r10 live
+    # on exit of B1, so B3's x=3 is re-judged (to a veto) while B3's
+    # unrelated r11 keeps its cached pass and moves too
+    func, report, events, metrics = schedule(
+        SIBLINGS, ScheduleLevel.SPECULATIVE, live_at_exit=frozenset())
+    x5, x3, r11 = (func.block("B1").instrs[2], func.block("B3").instrs[0],
+                   func.block("B1").instrs[3])
+    assert [(m.uid, m.src) for m in report.motions] == [(x5.uid, "B2"),
+                                                        (r11.uid, "B3")]
+    assert x3.opcode.mnemonic == "LI"
+    order = [(type(e), e.uid) for e in events
+             if isinstance(e, (MotionRecorded, SpeculationRejected))]
+    assert order[:2] == [(MotionRecorded, x5.uid),
+                         (SpeculationRejected, x3.uid)]
+    assert metrics.counters["sched.queue.judgments"] == 4
+    assert metrics.counters["sched.queue.verdict_hits"] >= 1

@@ -200,6 +200,34 @@ class TestFrontEndErrorsAreTyped:
         assert where in responses[0]["error"]
 
 
+class TestNestingLimits:
+    """A source nested past the parser's limits is a typed front-end
+    error, not a crash quarantine; one just under them compiles."""
+
+    @staticmethod
+    def _nested(levels, expr_levels=0):
+        expr = "(" * expr_levels + "x - 1" + ")" * expr_levels
+        return ("int f(int x) {\n" + "if (x > 0) {\n" * levels
+                + f"x = {expr};\n" + "}\n" * levels + "return x;\n}\n")
+
+    def test_too_deep_is_a_typed_error(self):
+        deep_ifs = self._nested(200)
+        deep_parens = ("int f(int x) { return " + "(" * 500 + "x"
+                       + ")" * 500 + "; }")
+        with Daemon(ServeConfig(jobs=1)) as daemon:
+            responses = daemon.serve_batch_lines(
+                [json.dumps({"id": 0, "source": deep_ifs}),
+                 json.dumps({"id": 1, "source": deep_parens}),
+                 json.dumps({"id": 2, "source": self._nested(199, 63)})])
+        assert [r["status"] for r in responses] == ["error", "error", "ok"]
+        assert [r.get("reason") for r in responses[:2]] == [
+            "CParseError", "CParseError"]
+        assert "line 201: statements nested deeper than 200 levels" in (
+            responses[0]["error"])
+        assert "expression nested deeper than 64 levels" in (
+            responses[1]["error"])
+
+
 class TestAdmissionHysteresis:
     def test_watermark_hysteresis(self):
         metrics = MetricsCollector()
