@@ -27,8 +27,9 @@ Seven metrics, all on a fixed-seed generated corpus (fully reproducible):
   uncached analyses, seed analysis implementations, the dict-state
   rescan block scheduler, eager verifier formatting).  Gate: >= 3.0x.
 * ``schedule``     -- ``global_schedule`` alone on the largest program's
-  entry function, same two arms: the event-driven ready queue + bitset
-  liveness tracker vs the seed's full-rescan scheduler loop.
+  entry function, same two arms: the flat cycle loop with cached
+  Section 5.3 verdicts + bitset liveness tracker vs the seed's
+  full-rescan scheduler loop.
   Gate: >= 2.6x.
 * ``fuzz``         -- differential fuzz-campaign throughput: optimized
   pipeline with ``--jobs 4`` vs the seed pipeline serially.
