@@ -212,18 +212,33 @@ class _FunctionLowerer:
                              f"bad assignment target {target!r}")
 
     def lower_if(self, stmt: C.If) -> None:
-        then_label = self.fresh()
-        join_label = self.fresh()
-        else_label = self.fresh() if stmt.orelse is not None else join_label
-        self.lower_cond(stmt.cond, then_label, else_label, next_label=then_label)
-        self.start(then_label)
-        self.lower_block(stmt.then)
-        if stmt.orelse is not None:
+        # an ``else if`` chain is lowered in a loop, not by recursion, so
+        # a long chain costs no Python frames; the joins close innermost
+        # first, as nested calls would close them
+        joins: list[str] = []
+        while True:
+            then_label = self.fresh()
+            join_label = self.fresh()
+            orelse = stmt.orelse
+            else_label = self.fresh() if orelse is not None else join_label
+            self.lower_cond(stmt.cond, then_label, else_label,
+                            next_label=then_label)
+            self.start(then_label)
+            self.lower_block(stmt.then)
+            joins.append(join_label)
+            if orelse is None:
+                break
             self.goto(join_label)
             self.start(else_label)
-            self.lower_block(stmt.orelse)
-        self.goto(join_label)
-        self.start(join_label)
+            inner = orelse.statements
+            if len(inner) == 1 and isinstance(inner[0], C.If):
+                stmt = inner[0]
+                continue
+            self.lower_block(orelse)
+            break
+        for join_label in reversed(joins):
+            self.goto(join_label)
+            self.start(join_label)
 
     def lower_while(self, stmt: C.While) -> None:
         if _expr_has_call(stmt.cond):
